@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.direct import DirectRunner, predictions_by_id
 from repro.core.modeljoin.operator import ModelJoinOperator
 from repro.db.catalog import ModelMetadata
 from repro.db.engine import Database
-from repro.db.operators import ExecutionContext, TableScan
-from repro.db.parallel import run_plans
-from repro.db.profiler import QueryProfile, finalize_profile
-from repro.db.resilience import CancellationToken
+from repro.db.operators import ExecutionContext
 from repro.db.vector import VectorBatch
-from repro.device.base import Device, DeviceWindow
+from repro.device.base import Device
 from repro.device.host import HostDevice
 
 
-class NativeModelJoin:
+class NativeModelJoin(DirectRunner):
     """Runs a registered model with the native operator."""
 
     def __init__(
@@ -33,16 +31,12 @@ class NativeModelJoin:
         device: Device | None = None,
         replicate_bias: bool = True,
     ):
-        self.database = database
+        super().__init__(database, device or HostDevice())
         self.metadata: ModelMetadata = database.catalog.model(model_name)
         #: with no explicit device the cost-based variant selector picks
         #: between the in-plan native variants per executed workload
         self._auto_device = device is None
-        self.device = device or HostDevice()
         self.replicate_bias = replicate_bias
-        self.last_profile: QueryProfile | None = None
-        self.last_seconds: float = 0.0
-        self.last_plans: list[ModelJoinOperator] = []
 
     def _device_from_selector(self, tuples: int) -> Device | None:
         """With no explicit device, let the database's cost-based
@@ -77,29 +71,8 @@ class NativeModelJoin:
             chosen = self._device_from_selector(table.row_count)
             if chosen is not None:
                 self.device = chosen
-        parallelism = (
-            self.database.parallelism
-            if parallel and self.database.parallelism > 1
-            else 1
-        )
-        context: ExecutionContext = self.database._context(
-            parallelism=parallelism
-        )
-        if timeout_seconds is not None:
-            context.cancellation = CancellationToken.with_timeout(
-                timeout_seconds
-            )
-        tracer = context.tracer
 
-        def build(partition_index: int) -> ModelJoinOperator:
-            scan_partition = (
-                partition_index if parallelism > 1 else None
-            )
-            if scan_partition is not None and table.num_partitions == 1:
-                scan_partition = None
-            scan = TableScan(
-                context, table, partition_index=scan_partition
-            )
+        def build(context, scan, partition_index) -> ModelJoinOperator:
             return ModelJoinOperator(
                 context,
                 scan,
@@ -107,43 +80,18 @@ class NativeModelJoin:
                 model_table,
                 input_columns=input_columns,
                 device=self.device,
-                partition_index=partition_index if parallelism > 1 else 0,
+                partition_index=partition_index,
                 replicate_bias=self.replicate_bias,
                 model_cache=self.database.model_cache,
             )
 
-        pool = self.database.worker_pool if parallelism > 1 else None
-        with DeviceWindow(self.device) as window:
-            with tracer.span(
-                "query",
-                category="query",
-                args={
-                    "kind": "native-modeljoin",
-                    "model": self.metadata.model_name,
-                    "parallel": parallelism > 1,
-                },
-            ):
-                context.trace_parent = tracer.current_span_id()
-                plans = [build(index) for index in range(parallelism)]
-                self.last_plans = plans
-                _, batches = run_plans(
-                    plans,
-                    pool=pool,
-                    morsel_driven=True,
-                    plan_builder=build,
-                    retries=self.database.task_retries,
-                )
-        self.last_seconds = window.seconds
-        profile = QueryProfile(
-            wall_seconds=window.wall_seconds,
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
+        return self._run(
+            table,
+            build,
+            parallel,
+            timeout_seconds,
+            {"kind": "native-modeljoin", "model": self.metadata.model_name},
         )
-        profile.rows_returned = sum(len(batch) for batch in batches)
-        finalize_profile(profile, self.database.metrics)
-        self.last_profile = profile
-        return batches, context
 
     def predict(
         self,
@@ -160,12 +108,6 @@ class NativeModelJoin:
             parallel=parallel,
             timeout_seconds=timeout_seconds,
         )
-        ids = np.concatenate([batch.column(id_column) for batch in batches])
-        order = np.argsort(ids, kind="stable")
-        outputs = []
-        for index in range(self.metadata.output_width):
-            column = np.concatenate(
-                [batch.column(f"prediction_{index}") for batch in batches]
-            )
-            outputs.append(column[order])
-        return np.column_stack(outputs)
+        return predictions_by_id(
+            batches, id_column, self.metadata.output_width
+        )

@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.direct import DirectRunner, predictions_by_id
 from repro.core.runtime_api.operator import RuntimeApiOperator
 from repro.db.engine import Database
-from repro.db.operators import ExecutionContext, TableScan
-from repro.db.parallel import run_plans
-from repro.db.profiler import QueryProfile, finalize_profile
-from repro.db.resilience import CancellationToken
+from repro.db.operators import ExecutionContext
 from repro.db.vector import VectorBatch
-from repro.device.base import Device, DeviceWindow
+from repro.device.base import Device
 from repro.device.host import HostDevice
 from repro.nn.model import Sequential
 from repro.nn.runtime import MlRuntime
 
 
-class RuntimeApiModelJoin:
+class RuntimeApiModelJoin(DirectRunner):
     """Runs inference through the embedded ML runtime (paper approach 2).
 
     Each partition pipeline gets its own runtime session, mirroring the
@@ -31,12 +29,9 @@ class RuntimeApiModelJoin:
         model: Sequential,
         device: Device | None = None,
     ):
-        self.database = database
+        super().__init__(database, device or HostDevice())
         self.model = model
-        self.device = device or HostDevice()
         self.runtime = MlRuntime(self.device)
-        self.last_profile: QueryProfile | None = None
-        self.last_seconds: float = 0.0
 
     def execute(
         self,
@@ -45,30 +40,7 @@ class RuntimeApiModelJoin:
         parallel: bool = False,
         timeout_seconds: float | None = None,
     ) -> tuple[list[VectorBatch], ExecutionContext]:
-        table = self.database.table(fact_table)
-        parallelism = (
-            self.database.parallelism
-            if parallel and self.database.parallelism > 1
-            else 1
-        )
-        context: ExecutionContext = self.database._context(
-            parallelism=parallelism
-        )
-        if timeout_seconds is not None:
-            context.cancellation = CancellationToken.with_timeout(
-                timeout_seconds
-            )
-        tracer = context.tracer
-
-        def build(partition_index: int) -> RuntimeApiOperator:
-            scan_partition = (
-                partition_index if parallelism > 1 else None
-            )
-            if scan_partition is not None and table.num_partitions == 1:
-                scan_partition = None
-            scan = TableScan(
-                context, table, partition_index=scan_partition
-            )
+        def build(context, scan, _partition_index) -> RuntimeApiOperator:
             return RuntimeApiOperator(
                 context,
                 scan,
@@ -77,36 +49,13 @@ class RuntimeApiModelJoin:
                 runtime=self.runtime,
             )
 
-        pool = self.database.worker_pool if parallelism > 1 else None
-        with DeviceWindow(self.device) as window:
-            with tracer.span(
-                "query",
-                category="query",
-                args={
-                    "kind": "runtime-api",
-                    "parallel": parallelism > 1,
-                },
-            ):
-                context.trace_parent = tracer.current_span_id()
-                plans = [build(index) for index in range(parallelism)]
-                _, batches = run_plans(
-                    plans,
-                    pool=pool,
-                    morsel_driven=True,
-                    plan_builder=build,
-                    retries=self.database.task_retries,
-                )
-        self.last_seconds = window.seconds
-        profile = QueryProfile(
-            wall_seconds=window.wall_seconds,
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
+        return self._run(
+            self.database.table(fact_table),
+            build,
+            parallel,
+            timeout_seconds,
+            {"kind": "runtime-api"},
         )
-        profile.rows_returned = sum(len(batch) for batch in batches)
-        finalize_profile(profile, self.database.metrics)
-        self.last_profile = profile
-        return batches, context
 
     def predict(
         self,
@@ -122,12 +71,4 @@ class RuntimeApiModelJoin:
             parallel=parallel,
             timeout_seconds=timeout_seconds,
         )
-        ids = np.concatenate([batch.column(id_column) for batch in batches])
-        order = np.argsort(ids, kind="stable")
-        outputs = []
-        for index in range(self.model.output_width):
-            column = np.concatenate(
-                [batch.column(f"prediction_{index}") for batch in batches]
-            )
-            outputs.append(column[order])
-        return np.column_stack(outputs)
+        return predictions_by_id(batches, id_column, self.model.output_width)

@@ -9,6 +9,7 @@ tables, see :mod:`repro.db.parallel`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 
@@ -134,6 +135,74 @@ class _MaterializedSource(PhysicalOperator):
 
     def _produce(self):
         yield from self._batches
+
+
+def _post_merge(
+    context: ExecutionContext,
+    statement: SelectStatement,
+    schema: Schema,
+    batches: list[VectorBatch],
+) -> PhysicalOperator | None:
+    """The coordinator ORDER BY / LIMIT over merged partition results
+    (None when the statement has neither)."""
+    if not statement.order_by and statement.limit is None:
+        return None
+    merged = concat_batches(schema, batches)
+    plan: PhysicalOperator = _MaterializedSource(context, schema, [merged])
+    if statement.order_by:
+        keys, ascending = [], []
+        for item in statement.order_by:
+            if not isinstance(item.expression, ColumnRef):
+                raise PlanError(
+                    "ORDER BY supports only output column references"
+                )
+            keys.append(ColumnRef(item.expression.name))
+            ascending.append(item.ascending)
+        plan = SortOperator(context, plan, keys, ascending)
+    if statement.limit is not None:
+        plan = LimitOperator(context, plan, statement.limit, statement.offset)
+    return plan
+
+
+@dataclasses.dataclass
+class _SelectPlans:
+    """The plans one SELECT executed, kept for EXPLAIN ANALYZE."""
+
+    #: the plan drained on the calling thread: the serial plan, the
+    #: parallel post-merge (ORDER BY/LIMIT) or the shard merge plan
+    top: PhysicalOperator | None = None
+    #: the per-partition pipelines of a parallel run
+    pipelines: list[PhysicalOperator] = dataclasses.field(
+        default_factory=list
+    )
+    #: the shard fragment tree of a dispatched query
+    fragment_tree: str | None = None
+
+    def render(self) -> str:
+        """The stats-annotated plan (EXPLAIN ANALYZE output)."""
+        if self.fragment_tree is not None:
+            return "\n".join(
+                [
+                    self.fragment_tree,
+                    "coordinator (post-merge):",
+                    self.top.explain(indent=2, stats=True),
+                ]
+            )
+        if not self.pipelines:
+            return self.top.explain(stats=True)
+        merged = self.pipelines[0]
+        for other in self.pipelines[1:]:
+            merged.merge_stats_from(other)
+        lines = [
+            f"Parallel: {len(self.pipelines)} pipelines "
+            "(per-operator stats merged across pipelines)"
+        ]
+        if self.top is not None:
+            lines.append("coordinator (post-merge):")
+            lines.append(self.top.explain(indent=2, stats=True))
+            lines.append("per-pipeline plan:")
+        lines.append(merged.explain(indent=2, stats=True))
+        return "\n".join(lines)
 
 
 class Database:
@@ -628,7 +697,7 @@ class Database:
             # still logged, under a synthetic marker.
             sql_text = f"<{type(statement).__name__}>"
         if isinstance(statement, Explain):
-            return self._execute_explain(statement)
+            return self._execute_explain(statement, catalog)
         if isinstance(statement, CreateTable):
             with self.catalog_lock:
                 return self._execute_create_table(statement)
@@ -665,43 +734,25 @@ class Database:
             with self.catalog_lock:
                 return self._execute_insert_select(statement)
         if isinstance(statement, SelectStatement):
-            return self._execute_select(
+            result, _ = self._run_select(
                 statement,
-                parallel=parallel,
-                timeout_seconds=timeout_seconds,
                 sql_text=sql_text,
-                catalog=catalog,
-                cancellation=cancellation,
                 session_id=session_id,
                 tenant=tenant,
+                catalog=catalog,
+                parallel=parallel,
+                cancellation=cancellation,
+                timeout_seconds=timeout_seconds,
             )
+            return result
         raise PlanError(f"unsupported statement {type(statement).__name__}")
 
     def explain(self, sql: str) -> str:
         statement = parse_statement(sql)
-        if isinstance(statement, Explain):
-            statement = statement.statement
-        if isinstance(statement, (CreateModel, AlterModel)):
-            result = self._execute_explain(Explain(statement))
-            return "\n".join(row[0] for row in result.rows)
-        if not isinstance(statement, SelectStatement):
-            raise PlanError(
-                "EXPLAIN supports SELECT, CREATE MODEL and ALTER MODEL"
-            )
-        context = ExecutionContext(vector_size=self.vector_size)
-        text = self._planner().explain(statement, context)
-        return self._prepend_fragment_tree(statement, text)
-
-    def _prepend_fragment_tree(
-        self, statement: SelectStatement, text: str
-    ) -> str:
-        """Prefix EXPLAIN output with the shard fragment tree (if any)."""
-        if self.sharding is None:
-            return text
-        fragment = self.sharding.plan_fragments(statement, self.catalog)
-        if fragment is None:
-            return text
-        return self.sharding.explain_fragments(fragment) + "\n" + text
+        if not isinstance(statement, Explain):
+            statement = Explain(statement)
+        result = self._execute_explain(statement)
+        return "\n".join(row[0] for row in result.rows)
 
     def explain_analyze(
         self, sql: str, parallel: bool = False
@@ -712,101 +763,25 @@ class Database:
         With ``parallel=True`` the query runs one pipeline per
         partition and the per-partition operator stats are merged into
         a single rendered tree (query-global numbers, not one
-        pipeline's share).
+        pipeline's share).  A sharded query renders its fragment tree
+        above the coordinator merge plan.
         """
         statement = parse_statement(sql)
         if isinstance(statement, Explain):
             statement = statement.statement
         if not isinstance(statement, SelectStatement):
             raise PlanError("EXPLAIN ANALYZE supports only SELECT")
-        if parallel and self.parallelism > 1:
-            return self._explain_analyze_parallel(statement, sql.strip())
-        context = self._context()
-        context.operator_timing = True
-        collector = self._begin_query(sql.strip(), parallel=False)
-        context.collector = collector
-        if collector is not None:
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
+        result, plans = self._run_select(
+            statement, sql_text=sql.strip(), parallel=parallel, analyze=True
         )
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query", category="query", args={"kind": "explain-analyze"}
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                plan = self._planner().plan_select(statement, context)
-                batches = list(plan.batches())
-        except Exception as error:
-            self._finish_query(collector, error=error)
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        result = Result(plan.schema, batches, profile)
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        self._finish_query(collector, result=result)
-        return plan.explain(stats=True), result
-
-    def _explain_analyze_parallel(
-        self, statement: SelectStatement, sql_text: str
-    ) -> tuple[str, Result]:
-        if statement.distinct:
-            raise PlanError("DISTINCT is not supported in parallel mode")
-        context = self._context(parallelism=self.parallelism)
-        context.operator_timing = True
-        collector = self._begin_query(sql_text, parallel=True)
-        context.collector = collector
-        if collector is not None:
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        collected: dict = {}
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query",
-                category="query",
-                args={"kind": "explain-analyze", "parallel": True},
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                result = self._execute_select_parallel(
-                    statement, context, profile, collect=collected
-                )
-        except Exception as error:
-            self._finish_query(collector, error=error)
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        self._finish_query(collector, result=result)
-        plans = collected["plans"]
-        merged = plans[0]
-        for other in plans[1:]:
-            merged.merge_stats_from(other)
-        lines = [
-            f"Parallel: {len(plans)} pipelines "
-            "(per-operator stats merged across pipelines)"
-        ]
-        coordinator = collected.get("coordinator")
-        if coordinator is not None:
-            lines.append("coordinator (post-merge):")
-            lines.append(coordinator.explain(indent=2, stats=True))
-            lines.append("per-pipeline plan:")
-        lines.append(merged.explain(indent=2, stats=True))
-        return "\n".join(lines), result
+        return plans.render(), result
 
     # ------------------------------------------------------------------
     # statement handlers
     # ------------------------------------------------------------------
-    def _execute_explain(self, statement: Explain) -> Result:
+    def _execute_explain(
+        self, statement: Explain, catalog: Catalog | None = None
+    ) -> Result:
         inner = statement.statement
         if isinstance(inner, CreateModel):
             from repro.db.train import render_create_model_explain
@@ -818,10 +793,19 @@ class Database:
                 f"set_version={inner.version})"
             ]
         elif isinstance(inner, SelectStatement):
+            # Planned against the view the caller reads (a served
+            # EXPLAIN passes its snapshot), prefixed with the shard
+            # fragment tree when the query would be dispatched.
+            catalog = catalog if catalog is not None else self.catalog
             context = ExecutionContext(vector_size=self.vector_size)
-            lines = self._prepend_fragment_tree(
-                inner, self._planner().explain(inner, context)
-            ).splitlines()
+            text = self._planner(catalog=catalog).explain(inner, context)
+            if self.sharding is not None:
+                fragment = self.sharding.plan_fragments(inner, catalog)
+                if fragment is not None:
+                    text = self.sharding.explain_fragments(fragment) + (
+                        "\n" + text
+                    )
+            lines = text.splitlines()
         else:
             raise PlanError(
                 "EXPLAIN supports SELECT, CREATE MODEL and ALTER MODEL"
@@ -902,7 +886,7 @@ class Database:
             )
         self._check_writable(statement.table_name)
         table = self.catalog.table(statement.table_name)
-        result = self._execute_select(statement.query, parallel=False)
+        result, _ = self._run_select(statement.query)
         if len(result.schema) != len(table.schema):
             raise TypeMismatchError(
                 f"INSERT SELECT produces {len(result.schema)} columns, "
@@ -918,17 +902,33 @@ class Database:
             table.append_batch(VectorBatch(table.schema, coerced))
         return Result.empty(result.profile)
 
-    def _execute_select(
+    def _run_select(
         self,
         statement: SelectStatement,
-        parallel: bool,
-        timeout_seconds: float | None = None,
+        *,
         sql_text: str | None = None,
-        catalog: Catalog | None = None,
-        cancellation: CancellationToken | None = None,
         session_id: str = "",
         tenant: str = "",
-    ) -> Result:
+        catalog: Catalog | None = None,
+        parallel: bool = False,
+        cancellation: CancellationToken | None = None,
+        timeout_seconds: float | None = None,
+        analyze: bool = False,
+    ) -> tuple[Result, _SelectPlans]:
+        """Run one SELECT: the single path behind every front door.
+
+        ``execute``/``execute_statement`` (direct and served),
+        ``explain_analyze``, ``INSERT ... SELECT`` and ``CREATE MODEL``
+        training sources all land here.  *catalog* is the view the
+        query reads — the live catalog or a snapshot's — and shard
+        fragment planning is checked against that same view.  The query
+        is registered as active and logged under *sql_text* /
+        *session_id* / *tenant*.  *analyze* only switches on
+        per-operator timing; the executed plans come back either way,
+        for EXPLAIN ANALYZE to render.
+        """
+        catalog = catalog if catalog is not None else self.catalog
+        parallel = parallel and self.parallelism > 1
         if cancellation is None and timeout_seconds is not None:
             cancellation = CancellationToken.with_timeout(timeout_seconds)
         if cancellation is None and self.sharding is not None:
@@ -938,7 +938,7 @@ class Database:
             cancellation = CancellationToken()
         collector = self._begin_query(
             sql_text or f"<{type(statement).__name__}>",
-            parallel=bool(parallel and self.parallelism > 1),
+            parallel=parallel,
             session_id=session_id,
             tenant=tenant,
         )
@@ -946,13 +946,92 @@ class Database:
             # Exposed so close()/session teardown can cancel in-flight
             # queries through the active-query registry.
             collector.cancellation = cancellation
+        span_args: dict = {"parallel": parallel}
+        if analyze:
+            span_args["kind"] = "explain-analyze"
+
+        def attempt(use_compiled: bool | None) -> tuple[Result, _SelectPlans]:
+            context = self._context(self.parallelism if parallel else 1)
+            context.operator_timing = context.operator_timing or analyze
+            context.cancellation = cancellation
+            context.collector = collector
+            if collector is not None:
+                # A fallback re-execution rebinds the collector to the
+                # new attempt's counters: the logged resources are those
+                # of the attempt that produced (or failed to produce)
+                # the result.
+                collector.counters = context.counters
+            profile = QueryProfile(
+                memory=context.memory,
+                stopwatch=context.stopwatch,
+                counters=context.counters,
+            )
+            plans = _SelectPlans()
+            started = time.perf_counter()
+            with self.tracer.span("query", category="query", args=span_args):
+                context.trace_parent = self.tracer.current_span_id()
+                fragment = None
+                if self.sharding is not None:
+                    fragment = self.sharding.plan_fragments(statement, catalog)
+                if fragment is not None:
+                    plans.fragment_tree = self.sharding.explain_fragments(
+                        fragment
+                    )
+                    plans.top = self.sharding.execute_fragments(
+                        fragment, context, catalog
+                    )
+                else:
+                    if parallel and statement.distinct:
+                        raise PlanError(
+                            "DISTINCT is not supported in parallel mode"
+                        )
+                    # ORDER BY / LIMIT are global operations: a parallel
+                    # run executes the core of the query per partition
+                    # and applies them on the merged result.
+                    core = statement
+                    if parallel:
+                        core = dataclasses.replace(
+                            statement, order_by=(), limit=None, offset=0
+                        )
+                    planner = self._planner(use_compiled, catalog=catalog)
+                    # Bind + optimize once; every partition pipeline is
+                    # lowered from the same prepared plan (one variant
+                    # decision per statement).
+                    prepared = planner.prepare(core)
+                    if collector is not None and prepared.selections:
+                        collector.modeljoin_variant = (
+                            prepared.selections[0].chosen
+                        )
+                    build = functools.partial(planner.lower, prepared, context)
+                    if not parallel:
+                        plans.top = build()
+                    else:
+                        plans.pipelines = [
+                            build(index) for index in range(self.parallelism)
+                        ]
+                        schema, batches = run_plans(
+                            plans.pipelines,
+                            pool=self.worker_pool,
+                            morsel_driven=True,
+                            plan_builder=build,
+                            retries=self.task_retries,
+                        )
+                        plans.top = _post_merge(
+                            context, statement, schema, batches
+                        )
+                if plans.top is not None:
+                    schema = plans.top.schema
+                    batches = list(plans.top.batches())
+            profile.wall_seconds = time.perf_counter() - started
+            result = Result(schema, batches, profile)
+            profile.rows_returned = result.row_count
+            finalize_profile(profile, self.metrics)
+            self.last_profile = profile
+            return result, plans
+
         try:
             try:
-                result = self._execute_select_attempt(
-                    statement, parallel, cancellation,
-                    use_compiled=None, collector=collector,
-                    catalog=catalog,
-                )
+                result, plans = attempt(None)
             except CompiledKernelError as error:
                 # One-shot fallback: a generated kernel failed (at
                 # compile exec time or at runtime).  Record the failure
@@ -974,12 +1053,10 @@ class Database:
                 )
                 if collector is not None:
                     collector.fallback = True
-                result = self._execute_select_attempt(
-                    statement, parallel, cancellation,
-                    use_compiled=False, collector=collector,
-                    catalog=catalog,
-                )
+                result, plans = attempt(False)
         except Exception as error:
+            if isinstance(error, QueryTimeoutError):
+                self.metrics.counter("query.timeouts").increment()
             # Failed queries still land a log row, with the error's
             # taxonomy class (BindError, InjectedFaultError, ...).
             self._finish_query(collector, error=error)
@@ -991,133 +1068,4 @@ class Database:
                 self.active_queries.deregister(collector.query_id)
             raise
         self._finish_query(collector, result=result)
-        return result
-
-    def _execute_select_attempt(
-        self,
-        statement: SelectStatement,
-        parallel: bool,
-        cancellation: CancellationToken | None,
-        use_compiled: bool | None,
-        collector: ResourceProfile | None = None,
-        catalog: Catalog | None = None,
-    ) -> Result:
-        context = self._context(
-            parallelism=self.parallelism if parallel else 1
-        )
-        context.cancellation = cancellation
-        context.collector = collector
-        if collector is not None:
-            # A fallback re-execution rebinds the collector to the new
-            # attempt's counters: the logged resources are those of the
-            # attempt that produced (or failed to produce) the result.
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query",
-                category="query",
-                args={"parallel": bool(parallel and self.parallelism > 1)},
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                fragment = None
-                if self.sharding is not None:
-                    fragment = self.sharding.plan_fragments(
-                        statement, catalog or self.catalog
-                    )
-                if fragment is not None:
-                    schema, batches = self.sharding.execute_fragments(
-                        fragment, context, catalog or self.catalog
-                    )
-                    result = Result(schema, batches, profile)
-                elif parallel and self.parallelism > 1:
-                    if statement.distinct:
-                        raise PlanError(
-                            "DISTINCT is not supported in parallel mode"
-                        )
-                    result = self._execute_select_parallel(
-                        statement, context, profile,
-                        use_compiled=use_compiled, catalog=catalog,
-                    )
-                else:
-                    planner = self._planner(use_compiled, catalog=catalog)
-                    prepared = planner.prepare(statement)
-                    if collector is not None and prepared.selections:
-                        collector.modeljoin_variant = (
-                            prepared.selections[0].chosen
-                        )
-                    plan = planner.lower(prepared, context)
-                    batches = list(plan.batches())
-                    result = Result(plan.schema, batches, profile)
-        except QueryTimeoutError:
-            self.metrics.counter("query.timeouts").increment()
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        return result
-
-    def _execute_select_parallel(
-        self,
-        statement: SelectStatement,
-        context: ExecutionContext,
-        profile: QueryProfile,
-        collect: dict | None = None,
-        use_compiled: bool | None = None,
-        catalog: Catalog | None = None,
-    ) -> Result:
-        # ORDER BY / LIMIT are global operations: run the core of the
-        # query per partition and apply them on the merged result.
-        core = dataclasses.replace(
-            statement, order_by=(), limit=None, offset=0
-        )
-        planner = self._planner(use_compiled, catalog=catalog)
-        # Bind + optimize once; every partition pipeline is lowered from
-        # the same prepared plan (one variant decision per statement).
-        prepared = planner.prepare(core)
-        if context.collector is not None and prepared.selections:
-            context.collector.modeljoin_variant = (
-                prepared.selections[0].chosen
-            )
-        plans = [
-            planner.lower(prepared, context, partition_index=index)
-            for index in range(self.parallelism)
-        ]
-        if collect is not None:
-            collect["plans"] = plans
-        schema, batches = run_plans(
-            plans,
-            pool=self.worker_pool,
-            morsel_driven=True,
-            plan_builder=lambda index: planner.lower(
-                prepared, context, partition_index=index
-            ),
-            retries=self.task_retries,
-        )
-        if not statement.order_by and statement.limit is None:
-            return Result(schema, batches, profile)
-        merged = concat_batches(schema, batches)
-        plan: PhysicalOperator = _MaterializedSource(context, schema, [merged])
-        if statement.order_by:
-            keys, ascending = [], []
-            for item in statement.order_by:
-                if not isinstance(item.expression, ColumnRef):
-                    raise PlanError(
-                        "ORDER BY supports only output column references"
-                    )
-                keys.append(ColumnRef(item.expression.name))
-                ascending.append(item.ascending)
-            plan = SortOperator(context, plan, keys, ascending)
-        if statement.limit is not None:
-            plan = LimitOperator(
-                context, plan, statement.limit, statement.offset
-            )
-        if collect is not None:
-            collect["coordinator"] = plan
-        return Result(plan.schema, list(plan.batches()), profile)
+        return result, plans

@@ -401,6 +401,8 @@ class SystemSchema:
         catalog = self._database.catalog
         for key in sorted(catalog.tables):
             table = catalog.tables[key]
+            if table.sharded:
+                continue  # its blocks live in the shard processes
             for index, partition in enumerate(table.partitions):
                 disk_meta = getattr(
                     partition, "disk_block_metadata", None

@@ -15,8 +15,9 @@ Planning is a three-stage pipeline (see :mod:`repro.db.plan`):
    with the calibrated cost model (once per statement, before
    per-partition lowering).
 
-``plan_select`` keeps the legacy one-shot signature; parallel
-execution prepares once and lowers per partition.
+Callers run ``lower(prepare(statement), context)``: preparation
+happens once per statement, and parallel execution lowers the same
+prepared plan once per partition.
 """
 
 from __future__ import annotations
@@ -143,7 +144,10 @@ class Planner:
         context: ExecutionContext,
         partition_index: int | None = None,
     ) -> PhysicalOperator:
-        """Lower a prepared plan for one partition (or serially)."""
+        """Lower a prepared plan serially, or with *partition_index* set
+        for one partition: partitioned base tables are restricted to
+        that partition, unpartitioned ones (e.g. the model table) are
+        scanned fully, i.e. broadcast."""
         with self.tracer.span("optimizer.lower", category="planner"):
             lowering = Lowering(
                 context,
@@ -153,21 +157,6 @@ class Planner:
                 compiler=self._compiler(),
             )
             return lowering.lower(prepared.logical)
-
-    # ------------------------------------------------------------------
-    # legacy one-shot entry point
-    # ------------------------------------------------------------------
-    def plan_select(
-        self,
-        statement: SelectStatement,
-        context: ExecutionContext,
-        partition_index: int | None = None,
-    ) -> PhysicalOperator:
-        """Plan *statement*; with *partition_index* set, partitioned base
-        tables are restricted to that partition (unpartitioned tables —
-        e.g. the model table — are scanned fully, i.e. broadcast)."""
-        prepared = self.prepare(statement)
-        return self.lower(prepared, context, partition_index)
 
     def explain(
         self, statement: SelectStatement, context: ExecutionContext

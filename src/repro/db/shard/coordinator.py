@@ -571,15 +571,14 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def plan_fragments(self, statement, catalog=None) -> FragmentPlan | None:
-        return plan_select_fragments(
-            statement, catalog or self._database.catalog
-        )
+    def plan_fragments(self, statement, catalog) -> FragmentPlan | None:
+        return plan_select_fragments(statement, catalog)
 
     def execute_fragments(
         self, fragment: FragmentPlan, context, catalog
     ):
-        """Dispatch the fragment, gather, merge; returns (schema, batches)."""
+        """Dispatch the fragment and gather the shard results; returns
+        the coordinator merge plan over them (drained by the caller)."""
         cancellation = context.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
         parallel = (
@@ -621,8 +620,7 @@ class ShardCoordinator:
                 context.counters.increment(name, value)
                 context.counters.increment(f"{name}.shard-{shard_id}", value)
         gather = GatherExchange(context, schema, sources)
-        plan = build_merge_plan(context, fragment, gather)
-        return plan.schema, list(plan.batches())
+        return build_merge_plan(context, fragment, gather)
 
     def explain_fragments(self, fragment: FragmentPlan) -> str:
         return render_fragment_tree(

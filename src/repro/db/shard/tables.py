@@ -7,7 +7,8 @@ batches to the owning shard processes (the same ``abs(hash) % n`` rule
 :class:`~repro.db.table.Table` uses for local partitions, so a table
 sharded N ways places every row exactly where an N-partition local
 table would), and scanning it at the coordinator is a planning bug that
-raises instead of silently returning zero rows.
+raises instead of silently returning zero rows — on every path, because
+the stub's one local partition raises when its blocks are read.
 """
 
 from __future__ import annotations
@@ -15,13 +16,36 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.schema import Schema
-from repro.db.table import Table
+from repro.db.table import Partition, Table
 from repro.db.vector import VectorBatch
 from repro.errors import ShardError
 
 
+class _StubPartition(Partition):
+    """The stub's single local partition: empty, and unreadable.
+
+    Every coordinator-local read — ``Table.scan``, a ``TableScan``
+    operator, a morsel queue — goes through :meth:`blocks`, so each
+    one raises instead of scanning as empty.
+    """
+
+    def __init__(self, table: "ShardedTable"):
+        super().__init__(table.schema)
+        self._table = table
+
+    def blocks(self):
+        raise ShardError(
+            f"table {self._table.name!r} is sharded across "
+            f"{self._table.shard_count} processes and cannot be scanned "
+            "at the coordinator; this query should have been dispatched "
+            "through the shard coordinator"
+        )
+
+
 class ShardedTable(Table):
     """A catalog stub routing appends to the shard that owns each row."""
+
+    sharded = True
 
     def __init__(
         self,
@@ -31,8 +55,6 @@ class ShardedTable(Table):
         coordinator,
         sort_key: tuple[str, ...] = (),
     ):
-        # One empty local partition: enough for the binder/lowering to
-        # build (never-executed) coordinator plans and for EXPLAIN.
         super().__init__(
             name,
             schema,
@@ -42,6 +64,9 @@ class ShardedTable(Table):
         )
         self._coordinator = coordinator
         self.shard_count = coordinator.shard_count
+        # One local partition: enough for the binder/lowering to build
+        # coordinator plans and for EXPLAIN, but draining one raises.
+        self.partitions = [_StubPartition(self)]
         #: routed-row accounting, kept coordinator-side so row_count /
         #: cost estimates never need a cross-process round trip
         self.rows_per_shard = [0] * self.shard_count
@@ -71,20 +96,6 @@ class ShardedTable(Table):
             routed = batch.filter(mask)
             self._coordinator.append_to_shard(shard_id, self.name, routed)
             self.rows_per_shard[shard_id] += len(routed)
-
-    def scan(self, ranges=None, vector_size=1024):  # type: ignore[override]
-        raise ShardError(
-            f"table {self.name!r} is sharded across "
-            f"{self.shard_count} processes and cannot be scanned at "
-            "the coordinator; this query should have been dispatched "
-            "through the shard coordinator"
-        )
-
-    def scan_partition(self, partition_index, ranges=None, vector_size=1024):
-        raise ShardError(
-            f"table {self.name!r} is sharded and has no "
-            "coordinator-local partitions to scan"
-        )
 
     def __getstate__(self) -> dict:
         # The stub is never shipped to workers (fragments reference

@@ -154,9 +154,10 @@ class DatabaseSnapshot:
     """A pinned point-in-time view of a database's user tables.
 
     ``snapshot.catalog`` is a read-only :class:`Catalog` clone whose
-    tables are :class:`FrozenTable` views; model registrations and the
-    ``system.*`` provider pass through (system tables always render
-    live state — they are observability, not data).  Call
+    tables are :class:`FrozenTable` views (sharded-table stubs are kept
+    as they are); model registrations and the ``system.*`` provider
+    pass through (system tables always render live state — they are
+    observability, not data).  Call
     :meth:`release` (or use the snapshot as a context manager) when the
     query finishes, so pinned checkpoint generations can be
     garbage-collected.
@@ -174,8 +175,12 @@ class DatabaseSnapshot:
             else None
         )
         self.catalog = Catalog(
+            # A sharded table's stub holds no rows to freeze: it stays
+            # as is, so fragment planning against the snapshot sees it
+            # and dispatches to the shards (which serve their latest
+            # state — there is no fleet-wide pinned cut yet).
             tables={
-                key: FrozenTable(table)
+                key: table if table.sharded else FrozenTable(table)
                 for key, table in live.tables.items()
             },
             models=dict(live.models),

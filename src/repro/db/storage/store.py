@@ -619,9 +619,11 @@ class StorageEngine:
     def checkpoint(self, catalog: Catalog) -> dict:
         """Persist the catalog; returns the committed manifest."""
         with self._span("storage.checkpoint"):
+            # Sharded tables persist in their shard processes.
             tables = [
                 self._persist_table(table)
                 for table in catalog.tables.values()
+                if not table.sharded
             ]
             models = [
                 _model_entry(metadata)

@@ -92,6 +92,10 @@ class Table:
     #: whether the table's partitions read their blocks from column
     #: files (see repro.db.storage); scans account file opens when set
     disk_resident = False
+    #: whether the rows live in shard processes and this object is only
+    #: the coordinator's catalog stub (see repro.db.shard.tables):
+    #: checkpoints and block listings skip it, snapshots keep it as is
+    sharded = False
 
     def __init__(
         self,

@@ -183,7 +183,7 @@ def _run_create_model(database, statement: CreateModel):
     database.metrics.counter("training.runs").increment()
 
     # 1. Source query through the regular pipeline (unlocked).
-    source = database._execute_select(statement.query, parallel=False)
+    source, _ = database._run_select(statement.query)
     features, labels = _training_data(source)
 
     # 2. Train (unlocked — serving traffic proceeds meanwhile).

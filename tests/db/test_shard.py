@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.db.operators import ExecutionContext
+from repro.db.planner import Planner
 from repro.db.shard.tables import ShardedTable
+from repro.db.sql.parser import parse_statement
 from repro.db.vector import VectorBatch
 from repro.errors import ShardCrashError, ShardError
 from repro.nn.layers import Dense
@@ -232,6 +235,19 @@ class TestTopologyAndObservability:
         assert isinstance(table, ShardedTable)
         with pytest.raises(ShardError):
             list(table.scan())
+
+    def test_local_plan_over_stub_raises_when_drained(self, fleet):
+        sharded, _ = fleet
+        statement = parse_statement("SELECT k, v FROM events")
+        planner = Planner(sharded.catalog)
+        plan = planner.lower(planner.prepare(statement), ExecutionContext())
+        with pytest.raises(ShardError):
+            list(plan.batches())
+        # A snapshot keeps the stub itself, so it cannot scan as empty.
+        with sharded.snapshot() as snapshot:
+            assert snapshot.catalog.table("events") is sharded.table("events")
+        # EXPLAIN lowers the same plan but never drains it.
+        assert "TableScan(events" in sharded.explain("SELECT k, v FROM events")
 
     def test_system_tables_cannot_mix_with_sharded(self, fleet):
         sharded, _ = fleet
