@@ -25,6 +25,7 @@ from repro.bench.variants import (
 )
 from repro.core.attach import connect
 from repro.core.ml_to_sql.generator import dense_join_work, lstm_join_work
+from repro.db.tracing import MetricsRegistry
 from repro.errors import ReproError
 from repro.nn.model import Sequential
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
@@ -251,7 +252,15 @@ def _run_cell(
         )
     variant = make_variant(variant_name)
     variant.prepare(env)
-    measurement = variant.run(env)
+    # The variants of a cell share one engine: each runs against a fresh
+    # metrics registry, so its ``metrics`` snapshot covers only its own
+    # queries (not, say, a build an earlier variant paid).
+    engine_metrics = env.database.metrics
+    env.database.metrics = MetricsRegistry()
+    try:
+        measurement = variant.run(env)
+    finally:
+        env.database.metrics = engine_metrics
     note = ""
     if config.verify_predictions:
         note = _verify(env.model, verify_inputs, measurement)

@@ -366,10 +366,11 @@ def format_counter_summary(points: list[SweepPoint]) -> str:
 
 
 def format_metrics_summary(points: list[SweepPoint]) -> str:
-    """Engine-lifetime metrics aggregated per variant.
+    """Engine metrics aggregated per variant.
 
-    Each sweep cell runs on a fresh engine, so a cell's metrics
-    snapshot covers the queries that cell issued; the summary reports
+    Each variant of a sweep cell runs against its own metrics registry,
+    so a point's metrics snapshot covers only the queries that variant
+    issued in that cell; the summary reports
     the per-variant mean of the flattened metric values — the latency
     percentiles (``query.latency.p50``/``p95``/``p99``), cache hit
     ratio and morsel queue-wait percentiles of a typical cell.  Returns

@@ -149,7 +149,7 @@ def _run_cell(cell: dict, config: BenchConfig) -> dict:
         "metrics": engine_metrics,
         "bit_exact_warm": bool(bit_exact_warm),
         "bit_exact_uncached": bool(bit_exact_uncached),
-        "warm_cache_hits": warm_counters.get("model-cache-hits", 0),
+        "warm_cache_hits": warm_counters.get("cache.hits", 0),
         "morsels": warm_counters.get("morsels", 0),
     }
     result["ok"] = (

@@ -7,7 +7,8 @@ the plan shape the engine's parallel executor would produce for
 inference operator per pipeline — without the SQL layer in the measured
 path.  They differ only in that operator; :class:`DirectRunner` does
 the rest (context, timeout, device window, ``query`` span, pipelines,
-profile).
+and the engine's query lifecycle, so each run is logged and folded
+like a SELECT).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from repro.db.engine import Database
 from repro.db.operators import ExecutionContext, PhysicalOperator, TableScan
 from repro.db.parallel import run_plans
-from repro.db.profiler import QueryProfile, finalize_profile
+from repro.db.profiler import QueryProfile
 from repro.db.resilience import CancellationToken
 from repro.db.table import Table
 from repro.db.vector import VectorBatch
@@ -57,45 +58,45 @@ class DirectRunner:
             if parallel and database.parallelism > 1
             else 1
         )
-        context = database._context(parallelism=parallelism)
+        cancellation = None
         if timeout_seconds is not None:
-            context.cancellation = CancellationToken.with_timeout(
-                timeout_seconds
-            )
-        tracer = context.tracer
+            cancellation = CancellationToken.with_timeout(timeout_seconds)
+        with database._track_query(
+            f"<{span_args['kind']}>",
+            parallel=parallelism > 1,
+            cancellation=cancellation,
+        ) as profile:
+            context = database._context(parallelism, profile)
+            context.cancellation = cancellation
+            tracer = context.tracer
 
-        def build(partition_index: int) -> PhysicalOperator:
-            scan_partition = None
-            if parallelism > 1 and table.num_partitions > 1:
-                scan_partition = partition_index
-            scan = TableScan(context, table, partition_index=scan_partition)
-            return build_operator(context, scan, partition_index)
-
-        pool = database.worker_pool if parallelism > 1 else None
-        with DeviceWindow(self.device) as window:
-            with tracer.span(
-                "query",
-                category="query",
-                args={**span_args, "parallel": parallelism > 1},
-            ):
-                context.trace_parent = tracer.current_span_id()
-                self.last_plans = [build(i) for i in range(parallelism)]
-                _, batches = run_plans(
-                    self.last_plans,
-                    pool=pool,
-                    morsel_driven=True,
-                    plan_builder=build,
-                    retries=database.task_retries,
+            def build(partition_index: int) -> PhysicalOperator:
+                scan_partition = None
+                if parallelism > 1 and table.num_partitions > 1:
+                    scan_partition = partition_index
+                scan = TableScan(
+                    context, table, partition_index=scan_partition
                 )
+                return build_operator(context, scan, partition_index)
+
+            pool = database.worker_pool if parallelism > 1 else None
+            with DeviceWindow(self.device) as window:
+                with tracer.span(
+                    "query",
+                    category="query",
+                    args={**span_args, "parallel": parallelism > 1},
+                ):
+                    context.trace_parent = tracer.current_span_id()
+                    self.last_plans = [build(i) for i in range(parallelism)]
+                    _, batches = run_plans(
+                        self.last_plans,
+                        pool=pool,
+                        morsel_driven=True,
+                        plan_builder=build,
+                        retries=database.task_retries,
+                    )
+            profile.rows_returned = sum(len(batch) for batch in batches)
         self.last_seconds = window.seconds
-        profile = QueryProfile(
-            wall_seconds=window.wall_seconds,
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        profile.rows_returned = sum(len(batch) for batch in batches)
-        finalize_profile(profile, database.metrics)
         self.last_profile = profile
         return batches, context
 

@@ -219,7 +219,6 @@ class ModelJoinOperator(UnaryOperator):
         rest follow its decision.
         """
         key = self._decision_key()
-        metrics = self.context.metrics
         with _shared_state_lock:
             decision = self.context.shared_state.get(key)
             if decision is None:
@@ -229,15 +228,11 @@ class ModelJoinOperator(UnaryOperator):
                     cache_key = self._cache_key()
                     built = self.model_cache.get(cache_key)
                 if built is not None:
-                    self.context.counters.increment("model-cache-hits")
-                    self._record_cache_metrics(metrics, hit=True)
+                    self.context.counters.increment("cache.hits")
                     decision = ("hit", built, cache_key)
                 else:
                     if self.model_cache is not None:
-                        self.context.counters.increment(
-                            "model-cache-misses"
-                        )
-                        self._record_cache_metrics(metrics, hit=False)
+                        self.context.counters.increment("cache.misses")
                     builder = ModelBuilder(
                         input_width=self.metadata.input_width,
                         layers=list(self.metadata.layers),
@@ -249,17 +244,6 @@ class ModelJoinOperator(UnaryOperator):
                 self.context.shared_state[key] = decision
             return decision
 
-    @staticmethod
-    def _record_cache_metrics(metrics, hit: bool) -> None:
-        """Engine-lifetime cache accounting: hit/miss counters plus the
-        cumulative ``cache.hit_ratio`` gauge."""
-        if metrics is None:
-            return
-        metrics.counter("cache.hits" if hit else "cache.misses").increment()
-        hits = metrics.counter("cache.hits").value
-        misses = metrics.counter("cache.misses").value
-        metrics.gauge("cache.hit_ratio").set(hits / (hits + misses))
-
     def _my_model_partitions(self) -> list[int]:
         """Model-table partitions this pipeline parses (round-robin)."""
         total = self.model_table.num_partitions
@@ -267,70 +251,75 @@ class ModelJoinOperator(UnaryOperator):
         return list(range(self.partition_index, total, stride))
 
     def _build(self) -> VectorizedInference:
-        tracer = self.context.tracer
+        """Build (or fetch) the model, timed by one clock reading that
+        feeds the stopwatch phase, the trace span and, on partition 0,
+        the ``modeljoin.build_seconds`` histogram."""
+        context = self.context
         started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
+        try:
+            inference = self._build_inner()
+        finally:
+            seconds = time.perf_counter() - started
+            context.stopwatch.add("modeljoin-build", seconds)
+            context.tracer.record(
                 "modeljoin-build",
-                category="phase",
+                "phase",
+                start_us=context.tracer.to_us(started),
+                duration_us=seconds * 1e6,
                 parent_id=self._span_id,
                 args={"partition": self.partition_index},
-            ):
-                inference = self._build_inner()
-        else:
-            inference = self._build_inner()
-        if self.partition_index == 0 and self.context.metrics is not None:
-            self.context.metrics.histogram(
-                "modeljoin.build_seconds"
-            ).observe(time.perf_counter() - started)
+            )
+        if self.partition_index == 0 and context.metrics is not None:
+            context.metrics.histogram("modeljoin.build_seconds").observe(
+                seconds
+            )
         return inference
 
     def _build_inner(self) -> VectorizedInference:
-        with self.context.stopwatch.measure("modeljoin-build"):
-            kind, payload, cache_key = self._shared_decision()
-            if kind == "hit":
-                # Served from the cross-query cache: no model-table
-                # scan, no barrier — the build phase is just the lookup.
-                built = payload
-            else:
-                builder = payload
-                try:
-                    if faults.ACTIVE is not None:
-                        faults.ACTIVE.fire("modeljoin.build")
-                    # The model side is drained in large batches: the
-                    # build phase is bulk weight placement, not
-                    # tuple-at-a-time processing, so there is no reason
-                    # to chop it into execution-sized vectors.
-                    build_vector_size = max(self.context.vector_size, 65536)
-                    for partition in self._my_model_partitions():
-                        for batch in self.model_table.scan_partition(
-                            partition, vector_size=build_vector_size
-                        ):
-                            builder.consume_batch(batch)
-                    if self.context.shared_state.get(ROUND_ABORTED_KEY):
-                        # A sibling task already crashed this round; its
-                        # abort sweep may have run before our builder
-                        # existed, so never enter the barrier wait.
-                        raise WorkerCrashError(
-                            "model build aborted: a cooperating "
-                            "pipeline crashed before the build barrier"
-                        )
-                    built = builder.wait_and_finalize(self.device)
-                except BaseException:
-                    # Break the barrier so sibling pipelines observe a
-                    # retryable WorkerCrashError instead of waiting for
-                    # a party that will never arrive, and retract the
-                    # poisoned decision so a retried group rebuilds
-                    # from scratch.
-                    builder.abort()
-                    self._retract_shared_decision(builder)
-                    raise
-                if (
-                    self.partition_index == 0
-                    and self.model_cache is not None
-                    and cache_key is not None
-                ):
-                    self.model_cache.put(cache_key, built)
+        kind, payload, cache_key = self._shared_decision()
+        if kind == "hit":
+            # Served from the cross-query cache: no model-table
+            # scan, no barrier — the build phase is just the lookup.
+            built = payload
+        else:
+            builder = payload
+            try:
+                if faults.ACTIVE is not None:
+                    faults.ACTIVE.fire("modeljoin.build")
+                # The model side is drained in large batches: the
+                # build phase is bulk weight placement, not
+                # tuple-at-a-time processing, so there is no reason
+                # to chop it into execution-sized vectors.
+                build_vector_size = max(self.context.vector_size, 65536)
+                for partition in self._my_model_partitions():
+                    for batch in self.model_table.scan_partition(
+                        partition, vector_size=build_vector_size
+                    ):
+                        builder.consume_batch(batch)
+                if self.context.shared_state.get(ROUND_ABORTED_KEY):
+                    # A sibling task already crashed this round; its
+                    # abort sweep may have run before our builder
+                    # existed, so never enter the barrier wait.
+                    raise WorkerCrashError(
+                        "model build aborted: a cooperating "
+                        "pipeline crashed before the build barrier"
+                    )
+                built = builder.wait_and_finalize(self.device)
+            except BaseException:
+                # Break the barrier so sibling pipelines observe a
+                # retryable WorkerCrashError instead of waiting for
+                # a party that will never arrive, and retract the
+                # poisoned decision so a retried group rebuilds
+                # from scratch.
+                builder.abort()
+                self._retract_shared_decision(builder)
+                raise
+            if (
+                self.partition_index == 0
+                and self.model_cache is not None
+                and cache_key is not None
+            ):
+                self.model_cache.put(cache_key, built)
         if self.partition_index == 0:
             self._accounted_bytes = built.nominal_bytes()
             self.context.memory.allocate(self._accounted_bytes, "model")
@@ -429,13 +418,10 @@ class ModelJoinOperator(UnaryOperator):
     def _note_fallback(
         self, kind: str, note: str, error: Exception | None
     ) -> None:
-        """Surface an engaged fallback: counters, metrics, trace span."""
+        """Surface an engaged fallback: counters and a trace marker."""
         self.fallbacks.append(note)
         self.context.counters.increment("fallback.engaged")
-        metrics = self.context.metrics
-        if metrics is not None:
-            metrics.counter("fallback.engaged").increment()
-            metrics.counter(f"fallback.{kind}").increment()
+        self.context.counters.increment(f"fallback.{kind}")
         tracer = self.context.tracer
         if tracer.enabled:
             args = {"kind": kind, "note": note}

@@ -8,6 +8,7 @@ tables, see :mod:`repro.db.parallel`).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import threading
@@ -20,7 +21,6 @@ from repro.db.compile import CompiledKernelCache
 from repro.db.introspect import (
     ActiveQueryRegistry,
     QueryLog,
-    ResourceProfile,
     SystemSchema,
     metrics_to_prometheus,
 )
@@ -55,8 +55,6 @@ from repro.errors import (
     CompiledKernelError,
     ExecutionError,
     PlanError,
-    QueryCancelledError,
-    QueryRejectedError,
     QueryTimeoutError,
     TypeMismatchError,
 )
@@ -482,72 +480,78 @@ class Database:
         """
         return metrics_to_prometheus(self.metrics.snapshot())
 
-    def _begin_query(
+    @contextlib.contextmanager
+    def _track_query(
         self,
         sql_text: str,
-        parallel: bool,
+        parallel: bool = False,
         session_id: str = "",
         tenant: str = "",
-    ) -> ResourceProfile | None:
-        """Open a resource profile and register it as an active query."""
-        if not self.collect_query_log:
-            return None
-        collector = ResourceProfile(
-            query_id=self.query_log.allocate_query_id(),
+        cancellation: CancellationToken | None = None,
+    ):
+        """One query's lifecycle around the body it wraps.
+
+        Registers a :class:`QueryProfile` as active and yields it; when
+        the body ends — returned or raised — the profile is finished,
+        marked slow, logged to ``system.queries``, deregistered and
+        folded into the metrics registry, in that order.  The body sets
+        ``rows_returned``.  With ``collect_query_log=False`` the query
+        is neither registered nor logged, but still folded.
+        """
+        profile = QueryProfile(
             sql=sql_text,
-            started_at=time.time(),
             parallel=parallel,
             session_id=session_id,
             tenant=tenant,
+            cancellation=cancellation,
         )
-        self.active_queries.register(collector)
-        return collector
-
-    def _finish_query(
-        self,
-        collector: ResourceProfile | None,
-        result: Result | None = None,
-        error: BaseException | None = None,
-    ) -> None:
-        """Finalize a resource profile and append it to the query log."""
-        if collector is None:
-            return
+        if self.collect_query_log:
+            profile.query_id = self.query_log.allocate_query_id()
+            self.active_queries.register(profile)
         try:
-            if error is None:
-                status = "ok"
-            elif isinstance(error, QueryRejectedError):
-                status = "rejected"
-            elif isinstance(error, QueryCancelledError):
-                # before QueryTimeoutError: cancelled is its subclass
-                status = "cancelled"
-            elif isinstance(error, QueryTimeoutError):
-                status = "timeout"
-            else:
-                status = "error"
-            collector.finish(
-                status,
-                error=error,
-                rows_returned=result.row_count if result is not None else 0,
-            )
+            yield profile
+        except Exception as error:
+            # Failed queries still land a log row, with the error's
+            # taxonomy class (BindError, InjectedFaultError, ...).
+            self._end_query(profile, error)
+            raise
+        except BaseException:
+            # KeyboardInterrupt/SystemExit: don't log a row, but never
+            # leave a ghost entry in the active-query registry.
+            self.active_queries.deregister(profile.query_id)
+            raise
+        self._end_query(profile, None)
+
+    def _end_query(
+        self, profile: QueryProfile, error: BaseException | None
+    ) -> None:
+        try:
+            profile.finish(error)
             if (
                 self.slow_query_seconds is not None
-                and collector.latency_seconds >= self.slow_query_seconds
+                and profile.wall_seconds >= self.slow_query_seconds
             ):
-                collector.slow = True
+                profile.slow = True
                 self.metrics.counter("query.slow").increment()
-            self.query_log.record(collector.to_entry())
+            if self.collect_query_log:
+                self.query_log.record(profile.to_entry())
         finally:
-            self.active_queries.deregister(collector.query_id)
+            self.active_queries.deregister(profile.query_id)
+            finalize_profile(profile, self.metrics)
 
-    def _context(self, parallelism: int = 1) -> ExecutionContext:
+    def _context(
+        self, parallelism: int = 1, profile: QueryProfile | None = None
+    ) -> ExecutionContext:
         """A fresh execution context wired to the engine's tracer and
-        metrics (operator timing switches on with the tracer)."""
+        metrics (operator timing switches on with the tracer) that
+        charges *profile* (a fresh one by default)."""
         return ExecutionContext(
             vector_size=self.vector_size,
             parallelism=parallelism,
             tracer=self.tracer,
             metrics=self.metrics,
             operator_timing=self.tracer.enabled,
+            profile=profile if profile is not None else QueryProfile(),
         )
 
     def __enter__(self) -> "Database":
@@ -936,38 +940,19 @@ class Database:
             # explicit cancel) can abandon a cross-process gather
             # instead of blocking on a slow or dead shard.
             cancellation = CancellationToken()
-        collector = self._begin_query(
-            sql_text or f"<{type(statement).__name__}>",
-            parallel=parallel,
-            session_id=session_id,
-            tenant=tenant,
-        )
-        if collector is not None:
-            # Exposed so close()/session teardown can cancel in-flight
-            # queries through the active-query registry.
-            collector.cancellation = cancellation
         span_args: dict = {"parallel": parallel}
         if analyze:
             span_args["kind"] = "explain-analyze"
 
-        def attempt(use_compiled: bool | None) -> tuple[Result, _SelectPlans]:
-            context = self._context(self.parallelism if parallel else 1)
+        def attempt(
+            profile: QueryProfile, use_compiled: bool | None
+        ) -> tuple[Result, _SelectPlans]:
+            context = self._context(
+                self.parallelism if parallel else 1, profile
+            )
             context.operator_timing = context.operator_timing or analyze
             context.cancellation = cancellation
-            context.collector = collector
-            if collector is not None:
-                # A fallback re-execution rebinds the collector to the
-                # new attempt's counters: the logged resources are those
-                # of the attempt that produced (or failed to produce)
-                # the result.
-                collector.counters = context.counters
-            profile = QueryProfile(
-                memory=context.memory,
-                stopwatch=context.stopwatch,
-                counters=context.counters,
-            )
             plans = _SelectPlans()
-            started = time.perf_counter()
             with self.tracer.span("query", category="query", args=span_args):
                 context.trace_parent = self.tracer.current_span_id()
                 fragment = None
@@ -998,8 +983,8 @@ class Database:
                     # lowered from the same prepared plan (one variant
                     # decision per statement).
                     prepared = planner.prepare(core)
-                    if collector is not None and prepared.selections:
-                        collector.modeljoin_variant = (
+                    if prepared.selections:
+                        profile.modeljoin_variant = (
                             prepared.selections[0].chosen
                         )
                     build = functools.partial(planner.lower, prepared, context)
@@ -1022,50 +1007,45 @@ class Database:
                 if plans.top is not None:
                     schema = plans.top.schema
                     batches = list(plans.top.batches())
-            profile.wall_seconds = time.perf_counter() - started
-            result = Result(schema, batches, profile)
-            profile.rows_returned = result.row_count
-            finalize_profile(profile, self.metrics)
-            self.last_profile = profile
-            return result, plans
+            return Result(schema, batches, profile), plans
 
-        try:
+        with self._track_query(
+            sql_text or f"<{type(statement).__name__}>",
+            parallel=parallel,
+            session_id=session_id,
+            tenant=tenant,
+            cancellation=cancellation,
+        ) as profile:
             try:
-                result, plans = attempt(None)
-            except CompiledKernelError as error:
-                # One-shot fallback: a generated kernel failed (at
-                # compile exec time or at runtime).  Record the failure
-                # on the compile breaker — repeated failures disable
-                # compilation engine-wide for the cool-down — and
-                # re-execute fully interpreted, reusing the same
-                # cancellation token so the original deadline still
-                # applies.  Timeouts never take this path:
-                # QueryTimeoutError is not a CompiledKernelError.
-                self.metrics.counter("compile.fallback").increment()
-                self.compile_breaker.record_failure()
-                self.tracer.instant(
-                    "compile-fallback",
-                    category="fallback",
-                    args={
-                        "error": type(error).__name__,
-                        "detail": str(error),
-                    },
-                )
-                if collector is not None:
-                    collector.fallback = True
-                result, plans = attempt(False)
-        except Exception as error:
-            if isinstance(error, QueryTimeoutError):
+                try:
+                    result, plans = attempt(profile, None)
+                except CompiledKernelError as error:
+                    # One-shot fallback: a generated kernel failed (at
+                    # compile exec time or at runtime).  Record the
+                    # failure on the compile breaker — repeated failures
+                    # disable compilation engine-wide for the cool-down —
+                    # and re-execute fully interpreted, reusing the same
+                    # cancellation token so the original deadline still
+                    # applies.  Timeouts never take this path:
+                    # QueryTimeoutError is not a CompiledKernelError.
+                    self.metrics.counter("compile.fallback").increment()
+                    self.compile_breaker.record_failure()
+                    self.tracer.instant(
+                        "compile-fallback",
+                        category="fallback",
+                        args={
+                            "error": type(error).__name__,
+                            "detail": str(error),
+                        },
+                    )
+                    # The record logs the resources of the attempt that
+                    # produced (or failed to produce) the result.
+                    profile.fallback = True
+                    profile.restart()
+                    result, plans = attempt(profile, False)
+            except QueryTimeoutError:
                 self.metrics.counter("query.timeouts").increment()
-            # Failed queries still land a log row, with the error's
-            # taxonomy class (BindError, InjectedFaultError, ...).
-            self._finish_query(collector, error=error)
-            raise
-        except BaseException:
-            # KeyboardInterrupt/SystemExit: don't log a row, but never
-            # leave a ghost entry in the active-query registry.
-            if collector is not None:
-                self.active_queries.deregister(collector.query_id)
-            raise
-        self._finish_query(collector, result=result)
+                raise
+            profile.rows_returned = result.row_count
+        self.last_profile = profile
         return result, plans

@@ -10,9 +10,8 @@ aggregates, ORDER BY, and EXPLAIN (see docs/OBSERVABILITY.md).
 
 Modules:
 
-- :mod:`~repro.db.introspect.collector` — the per-query
-  :class:`ResourceProfile` threaded through the execution context and
-  the :class:`ActiveQueryRegistry` behind ``system.active_queries``.
+- :mod:`~repro.db.introspect.collector` — the
+  :class:`ActiveQueryRegistry` behind ``system.active_queries``.
 - :mod:`~repro.db.introspect.log` — the :class:`QueryLog` ring buffer
   with crash-safe JSONL persistence (``system.queries``).
 - :mod:`~repro.db.introspect.tables` — the :class:`SystemSchema`
@@ -21,10 +20,7 @@ Modules:
   for ``Database.export_metrics_text()``.
 """
 
-from repro.db.introspect.collector import (
-    ActiveQueryRegistry,
-    ResourceProfile,
-)
+from repro.db.introspect.collector import ActiveQueryRegistry
 from repro.db.introspect.log import QueryLog
 from repro.db.introspect.prometheus import (
     metrics_to_prometheus,
@@ -35,7 +31,6 @@ from repro.db.introspect.tables import SystemSchema
 __all__ = [
     "ActiveQueryRegistry",
     "QueryLog",
-    "ResourceProfile",
     "SystemSchema",
     "metrics_to_prometheus",
     "parse_prometheus_text",

@@ -24,36 +24,11 @@ from __future__ import annotations
 
 import math
 
-from repro.db.introspect.collector import ENTRY_FIELDS
+from repro.db.profiler import QUERY_COLUMNS
 from repro.db.schema import Column, Schema
 from repro.db.table import Table
 from repro.db.types import SqlType
 from repro.errors import CatalogError
-
-_QUERY_COLUMN_TYPES = {
-    "query_id": SqlType.INTEGER,
-    "sql": SqlType.VARCHAR,
-    "status": SqlType.VARCHAR,
-    "error_class": SqlType.VARCHAR,
-    "started_at": SqlType.DOUBLE,
-    "latency_seconds": SqlType.DOUBLE,
-    "slow": SqlType.BOOLEAN,
-    "rows_returned": SqlType.INTEGER,
-    "rows_read": SqlType.INTEGER,
-    "bytes_read": SqlType.INTEGER,
-    "blocks_scanned": SqlType.INTEGER,
-    "blocks_skipped": SqlType.INTEGER,
-    "morsels": SqlType.INTEGER,
-    "cache_hits": SqlType.INTEGER,
-    "cache_misses": SqlType.INTEGER,
-    "retries": SqlType.INTEGER,
-    "parallel": SqlType.BOOLEAN,
-    "compiled": SqlType.BOOLEAN,
-    "fallback": SqlType.BOOLEAN,
-    "modeljoin_variant": SqlType.VARCHAR,
-    "session_id": SqlType.VARCHAR,
-    "tenant": SqlType.VARCHAR,
-}
 
 _TYPE_DEFAULTS = {
     SqlType.INTEGER: 0,
@@ -158,22 +133,14 @@ class SystemSchema:
         return schema, rows
 
     def _queries(self):
-        schema = _schema(
-            *(
-                (name, _QUERY_COLUMN_TYPES[name])
-                for name in ENTRY_FIELDS
+        schema = _schema(*(column[:2] for column in QUERY_COLUMNS))
+        rows = [
+            tuple(
+                entry.get(name, _TYPE_DEFAULTS[kind])
+                for name, kind, _ in QUERY_COLUMNS
             )
-        )
-        rows = []
-        for entry in self._database.query_log.entries():
-            rows.append(
-                tuple(
-                    entry.get(
-                        name, _TYPE_DEFAULTS[_QUERY_COLUMN_TYPES[name]]
-                    )
-                    for name in ENTRY_FIELDS
-                )
-            )
+            for entry in self._database.query_log.entries()
+        ]
         return schema, rows
 
     def _active_queries(self):

@@ -6,7 +6,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.db.profiler import MemoryAccountant, ProfileCounters, Stopwatch
+from repro.db.profiler import QueryProfile
 from repro.db.resilience import CancellationToken
 from repro.db.schema import Schema
 from repro.db.tracing import NULL_TRACER, MetricsRegistry, Tracer
@@ -25,9 +25,9 @@ class ExecutionContext:
     """
 
     vector_size: int = VECTOR_SIZE
-    memory: MemoryAccountant = field(default_factory=MemoryAccountant)
-    stopwatch: Stopwatch = field(default_factory=Stopwatch)
-    counters: ProfileCounters = field(default_factory=ProfileCounters)
+    #: the query's record; operators charge its memory accountant,
+    #: stopwatch and counters through the same-named context attributes
+    profile: QueryProfile = field(default_factory=QueryProfile)
     #: number of partition pipelines executing this plan
     parallelism: int = 1
     #: arbitrary extension point (the ModelJoin stores its shared model
@@ -48,11 +48,13 @@ class ExecutionContext:
     #: operator ``next()`` loops, per morsel in the scan loop and per
     #: kernel on the device (None = the query has no deadline)
     cancellation: CancellationToken | None = None
-    #: per-query resource-profile collector (duck-typed: see
-    #: repro.db.introspect.ResourceProfile); operators and the
-    #: parallel executor annotate it — None when the engine runs with
-    #: query-log collection disabled
-    collector: object | None = None
+
+    def __post_init__(self) -> None:
+        # Bound once: a re-execution restarts the profile's resources
+        # without redirecting the failed attempt's operators.
+        self.memory = self.profile.memory
+        self.stopwatch = self.profile.stopwatch
+        self.counters = self.profile.counters
 
 
 def format_operator_seconds(seconds: float) -> str:

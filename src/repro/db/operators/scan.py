@@ -239,9 +239,9 @@ class TableScan(PhysicalOperator):
 
     def close(self) -> None:
         # Fold this scan's totals into the per-query profile counters
-        # (the introspection layer's ResourceProfile reads them at
-        # query end; retried pipelines re-scan, so re-counting their
-        # fresh plans is the honest accounting).
+        # (the query's log row reads them at query end; retried
+        # pipelines re-scan, so re-counting their fresh plans is the
+        # honest accounting).
         counters = self.context.counters
         if self.rows_emitted:
             counters.increment("scan.rows_read", self.rows_emitted)

@@ -375,9 +375,7 @@ def attach_morsel_sources(
     for index, scans in enumerate(partitioned_scans):
         scans[0].morsel_source = source
         scans[0].morsel_owner = index
-    collector = partitioned_scans[0][0].context.collector
-    if collector is not None:
-        collector.morsels_total = len(source)
+    partitioned_scans[0][0].context.profile.morsels_total = len(source)
     return [source]
 
 
@@ -513,8 +511,8 @@ def run_plans(
     (and rewired to the shared morsel queue), and the round re-runs on
     rotated workers.  ``plans`` is updated in place with the retry
     instances so post-run stats stay inspectable.  Retry rounds bump
-    the ``query.retries`` / ``worker.crashes`` metrics and emit
-    ``retry``-category marker spans.
+    the query's ``query.retries`` counter and the ``worker.crashes``
+    metric and emit ``retry``-category marker spans.
     """
     if not plans:
         raise ValueError("need at least one plan")
@@ -576,8 +574,6 @@ def run_plans(
         if not can_retry:
             _raise_pipeline_failure(failed, attempt + 1)
         attempt += 1
-        if metrics is not None:
-            metrics.counter("query.retries").increment(len(failed))
         context.counters.increment("query.retries", len(failed))
         if tracer.enabled:
             tracer.instant(

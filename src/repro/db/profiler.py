@@ -8,14 +8,25 @@ materialized intermediates, model weight matrices.  Operators register
 allocations/releases with the :class:`MemoryAccountant` attached to the
 execution context; the peak over a query is the reported number.
 
-A lightweight :class:`Stopwatch` is also provided for phase timing.
+A :class:`Stopwatch` times phases and :class:`ProfileCounters` counts
+events.  :class:`QueryProfile` is the one per-query record that holds
+them, from registration to the ``system.queries`` row, and
+:func:`finalize_profile` folds it into the engine metrics registry.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
+
+from repro.db.types import SqlType
+from repro.errors import (
+    QueryCancelledError,
+    QueryRejectedError,
+    QueryTimeoutError,
+)
 
 
 class MemoryAccountant:
@@ -93,9 +104,14 @@ class Stopwatch:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
+    @contextlib.contextmanager
     def measure(self, name: str):
         """Context manager adding the elapsed time to phase *name*."""
-        return _Measurement(self, name)
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add(name, time.perf_counter() - started)
 
     def add(self, name: str, seconds: float) -> None:
         with self._lock:
@@ -109,10 +125,10 @@ class Stopwatch:
 class ProfileCounters:
     """Thread-safe named event counters (cache hits, morsels, ...).
 
-    Operators increment counters through the execution context; the
-    query profile exposes the final values.  Counter names are free-form
-    dotted strings — per-worker breakdowns use ``name.worker-i`` keys
-    next to the aggregate ``name`` key.
+    Operators increment counters through the execution context.  A
+    counter carries its event's one name: the end-of-query fold adds
+    it to the metrics registry under that name.  Per-worker breakdowns
+    use ``name.worker-i`` keys next to the aggregate ``name`` key.
     """
 
     def __init__(self) -> None:
@@ -132,43 +148,154 @@ class ProfileCounters:
             return dict(self._counts)
 
 
-class _Measurement:
-    def __init__(self, stopwatch: Stopwatch, name: str):
-        self._stopwatch = stopwatch
-        self._name = name
-        self._start = 0.0
+#: the ``system.queries`` columns in order: ``(column, SQL type,
+#: counter)``.  A resource column reads the named per-query counter;
+#: every other column reads the :class:`QueryProfile` attribute of the
+#: same name.
+QUERY_COLUMNS = (
+    ("query_id", SqlType.INTEGER, None),
+    ("sql", SqlType.VARCHAR, None),
+    ("status", SqlType.VARCHAR, None),
+    ("error_class", SqlType.VARCHAR, None),
+    ("started_at", SqlType.DOUBLE, None),
+    ("latency_seconds", SqlType.DOUBLE, None),
+    ("slow", SqlType.BOOLEAN, None),
+    ("rows_returned", SqlType.INTEGER, None),
+    ("rows_read", SqlType.INTEGER, "scan.rows_read"),
+    ("bytes_read", SqlType.INTEGER, "scan.bytes_read"),
+    ("blocks_scanned", SqlType.INTEGER, "scan.blocks_scanned"),
+    ("blocks_skipped", SqlType.INTEGER, "scan.blocks_skipped"),
+    ("morsels", SqlType.INTEGER, "morsels"),
+    ("cache_hits", SqlType.INTEGER, "cache.hits"),
+    ("cache_misses", SqlType.INTEGER, "cache.misses"),
+    ("retries", SqlType.INTEGER, "query.retries"),
+    ("parallel", SqlType.BOOLEAN, None),
+    ("compiled", SqlType.BOOLEAN, None),
+    ("fallback", SqlType.BOOLEAN, None),
+    ("modeljoin_variant", SqlType.VARCHAR, None),
+    # appended later so older JSONL rows (without them) still load:
+    # the restore path reads entries with .get(name, default)
+    ("session_id", SqlType.VARCHAR, None),
+    ("tenant", SqlType.VARCHAR, None),
+)
 
-    def __enter__(self) -> "_Measurement":
-        self._start = time.perf_counter()
-        return self
 
-    def __exit__(self, *_exc) -> None:
-        self._stopwatch.add(self._name, time.perf_counter() - self._start)
+def query_status(error: BaseException | None) -> str:
+    """The ``system.queries`` status of a query that raised *error*."""
+    if error is None:
+        return "ok"
+    if isinstance(error, QueryRejectedError):
+        return "rejected"
+    if isinstance(error, QueryCancelledError):
+        # before QueryTimeoutError: cancelled is its subclass
+        return "cancelled"
+    if isinstance(error, QueryTimeoutError):
+        return "timeout"
+    return "error"
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryProfile:
-    """Resource usage of one executed query."""
+    """One query's record, from registration to its log row.
 
-    wall_seconds: float = 0.0
+    Identity (id, SQL, session, tenant, start time), the resources its
+    operators charge (memory accountant, stopwatch phases, counters),
+    and its outcome (latency, rows, status).  ``Result.profile``,
+    ``system.active_queries`` and the ``system.queries`` row all read
+    this one object; the counters are thread-safe, so other threads can
+    read live progress while the query runs.
+    """
+
+    query_id: int = -1
+    sql: str = ""
+    session_id: str = ""
+    tenant: str = ""
+    #: wall-clock start (unix seconds; latency uses perf_counter)
+    started_at: float = field(default_factory=time.time)
+    parallel: bool = False
     memory: MemoryAccountant = field(default_factory=MemoryAccountant)
     stopwatch: Stopwatch = field(default_factory=Stopwatch)
     counters: ProfileCounters = field(default_factory=ProfileCounters)
+    wall_seconds: float = 0.0
     rows_returned: int = 0
+    status: str = "running"
+    error_class: str = ""
+    slow: bool = False
+    #: total morsels of the shared queue (0 = not morsel-driven); set
+    #: by the parallel executor when it attaches the morsel source
+    morsels_total: int = 0
+    #: a generated kernel failed and the query re-ran interpreted
+    fallback: bool = False
+    #: the optimizer's chosen ModelJoin execution variant ("" = none)
+    modeljoin_variant: str = ""
+    #: the query's cooperative cancellation token (if any); lets
+    #: ``Database.close()`` and session teardown cancel in-flight
+    #: queries found through the active-query registry
+    cancellation: object | None = field(default=None, repr=False)
+    _started_perf: float = field(
+        default_factory=time.perf_counter, repr=False
+    )
 
     @property
     def peak_memory_bytes(self) -> int:
         return self.memory.peak_bytes
 
+    @property
+    def latency_seconds(self) -> float:
+        return self.wall_seconds
+
+    @property
+    def compiled(self) -> bool:
+        """At least one generated kernel executed for this query."""
+        return self.counters.get("compile.fused_pipelines") > 0
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Wall time since the query started (live reads while running,
+        frozen to the final latency once finished)."""
+        if self.status != "running":
+            return self.wall_seconds
+        return time.perf_counter() - self._started_perf
+
+    def morsels_completed(self) -> int:
+        """Live morsel progress (0 until the scan loop starts)."""
+        return self.counters.get("morsels")
+
+    def restart(self) -> None:
+        """Fresh resources for a re-execution: the record keeps those of
+        the attempt that produced (or failed to produce) the result."""
+        self.memory = MemoryAccountant()
+        self.stopwatch = Stopwatch()
+        self.counters = ProfileCounters()
+
+    def finish(self, error: BaseException | None = None) -> None:
+        """Freeze the latency and outcome."""
+        self.wall_seconds = time.perf_counter() - self._started_perf
+        self.status = query_status(error)
+        if error is not None:
+            self.error_class = type(error).__name__
+
+    def to_entry(self) -> dict:
+        """The finished query as a plain JSON-serializable log row."""
+        counts = self.counters.snapshot()
+        return {
+            name: counts.get(counter, 0) if counter else getattr(self, name)
+            for name, _, counter in QUERY_COLUMNS
+        }
+
 
 def finalize_profile(profile: QueryProfile, metrics=None) -> None:
-    """Post-query bookkeeping shared by the engine and the runners.
+    """Fold one finished query into the engine metrics registry.
 
-    Surfaces memory-release underflows as the ``memory.release_underflow``
-    profile counter and, when an engine-lifetime metrics registry is
-    given (duck-typed: see :class:`repro.db.tracing.MetricsRegistry`),
-    feeds the cross-query aggregates: ``query.latency`` (histogram),
-    ``query.count`` and ``query.rows`` (counters).
+    Runs once at the end of every query, on success and on failure.
+    Memory-release underflows become the ``memory.release_underflow``
+    counter; then, given a registry (duck-typed: see
+    :class:`repro.db.tracing.MetricsRegistry`), every per-query counter
+    is added under its own name, next to ``query.latency``
+    (histogram), ``query.count`` and ``query.rows``, and the
+    ``cache.hit_ratio`` gauge is refreshed.  Per-worker
+    (``morsels.worker-<i>``) and per-shard (``<name>.shard-<i>``)
+    breakdown keys stay in the query's counters only.
     """
     underflows = profile.memory.underflows
     if underflows:
@@ -178,5 +305,11 @@ def finalize_profile(profile: QueryProfile, metrics=None) -> None:
     metrics.histogram("query.latency").observe(profile.wall_seconds)
     metrics.counter("query.count").increment()
     metrics.counter("query.rows").increment(profile.rows_returned)
-    if underflows:
-        metrics.counter("memory.release_underflow").increment(underflows)
+    counts = profile.counters.snapshot()
+    for name, value in counts.items():
+        if not name.rpartition(".")[2].startswith(("worker-", "shard-")):
+            metrics.counter(name).increment(value)
+    if "cache.hits" in counts or "cache.misses" in counts:
+        hits = metrics.counter("cache.hits").value
+        misses = metrics.counter("cache.misses").value
+        metrics.gauge("cache.hit_ratio").set(hits / (hits + misses))

@@ -29,29 +29,16 @@ database under load strands no client.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
-from repro.db.introspect import ResourceProfile
+from repro.db.profiler import query_status
 from repro.db.serve.admission import AdmissionQueue, AdmittedQuery
 from repro.db.serve.session import Session
 from repro.db.sql.ast import Explain, SelectStatement
 from repro.db.sql.parser import parse_statement
-from repro.errors import (
-    QueryCancelledError,
-    QueryRejectedError,
-    QueryTimeoutError,
-)
-
-
-def _status_of(error: BaseException) -> str:
-    if isinstance(error, QueryRejectedError):
-        return "rejected"
-    if isinstance(error, QueryCancelledError):
-        return "cancelled"
-    if isinstance(error, QueryTimeoutError):
-        return "timeout"
-    return "error"
+from repro.errors import QueryCancelledError, QueryRejectedError
 
 
 class Server:
@@ -195,7 +182,7 @@ class Server:
             entry.token.check()
             statement = parse_statement(entry.sql)
         except Exception as error:
-            entry.fail(error, _status_of(error))
+            entry.fail(error, query_status(error))
             self._log_unexecuted(entry)
             return
         database = self.database
@@ -227,7 +214,7 @@ class Server:
                 ):
                     database.checkpoint()
         except Exception as error:
-            entry.fail(error, _status_of(error))
+            entry.fail(error, query_status(error))
             return
         entry.finish(result)
 
@@ -239,23 +226,19 @@ class Server:
         """Log a query that never reached the engine.
 
         The engine logs every SELECT it executes; rejected, expired and
-        cancelled-in-queue entries bypass it, so the server writes
-        their ``system.queries`` rows itself (same schema, status
-        ``rejected`` / ``timeout`` / ``cancelled``).
+        cancelled-in-queue entries bypass it, so the server runs them
+        through the same query lifecycle as a body that raises the
+        entry's error (status ``rejected`` / ``timeout`` /
+        ``cancelled``).
         """
-        database = self.database
-        if not database.collect_query_log:
-            return
-        profile = ResourceProfile(
-            query_id=database.query_log.allocate_query_id(),
-            sql=entry.sql.strip(),
-            started_at=time.time(),
-            parallel=entry.parallel,
-            session_id=entry.session.session_id,
-            tenant=entry.tenant,
-        )
-        profile.finish(entry.status, error=entry.error)
-        database.query_log.record(profile.to_entry())
+        with contextlib.suppress(type(entry.error)):
+            with self.database._track_query(
+                entry.sql.strip(),
+                parallel=entry.parallel,
+                session_id=entry.session.session_id,
+                tenant=entry.tenant,
+            ):
+                raise entry.error
 
     # ------------------------------------------------------------------
     # introspection

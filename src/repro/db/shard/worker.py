@@ -136,18 +136,9 @@ class ShardWorker:
             parallel=message.parallel,
             timeout_seconds=message.timeout_seconds,
         )
-        counters = (
-            result.profile.counters.snapshot()
-            if result.profile is not None
-            else {}
-        )
-        # Fold the fragment's scan counters into the worker's lifetime
-        # metrics so StatsRequest (-> system.shards) sees cumulative
-        # per-shard scan.* values across queries.
-        for name, value in counters.items():
-            if "worker-" in name:
-                continue
-            self.database.metrics.counter(name).increment(value)
+        # The engine already folded the counters into this shard's
+        # metrics, which StatsRequest (-> system.shards) reports.
+        counters = result.profile.counters.snapshot()
         if result.batches:
             merged = concat_batches(result.schema, result.batches)
             arrays = tuple(merged.arrays)

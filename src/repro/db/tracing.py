@@ -174,7 +174,11 @@ class Tracer:
 
     def now_us(self) -> float:
         """Microseconds since this tracer's epoch (Chrome-trace ts)."""
-        return (time.perf_counter() - self._epoch) * 1e6
+        return self.to_us(time.perf_counter())
+
+    def to_us(self, perf_seconds: float) -> float:
+        """A ``time.perf_counter()`` reading as a Chrome-trace ts."""
+        return (perf_seconds - self._epoch) * 1e6
 
     def allocate_id(self) -> int:
         """Reserve a span id (for spans recorded after the fact)."""
@@ -281,31 +285,25 @@ class Tracer:
         the tracks.  Load the JSON at https://ui.perfetto.dev or in
         ``chrome://tracing``.
         """
-        with self._lock:
-            logs = list(self._logs)
         events: list[dict] = []
         tids: dict[str, int] = {}
-        for log in logs:
-            tid = tids.setdefault(log.thread_name, len(tids) + 1)
-            for (span_id, parent_id, name, category, start_us, dur_us,
-                 args) in list(log.events):
-                rendered_args = {"span_id": span_id}
-                if parent_id is not None:
-                    rendered_args["parent_id"] = parent_id
-                if args:
-                    rendered_args.update(args)
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": name,
-                        "cat": category,
-                        "ts": round(start_us, 3),
-                        "dur": round(dur_us, 3),
-                        "pid": 1,
-                        "tid": tid,
-                        "args": rendered_args,
-                    }
-                )
+        for span in self.finished_spans():
+            rendered_args = {"span_id": span["id"]}
+            if span["parent_id"] is not None:
+                rendered_args["parent_id"] = span["parent_id"]
+            rendered_args.update(span["args"])
+            events.append(
+                {
+                    "ph": "X",
+                    "name": span["name"],
+                    "cat": span["category"],
+                    "ts": round(span["start_us"], 3),
+                    "dur": round(span["duration_us"], 3),
+                    "pid": 1,
+                    "tid": tids.setdefault(span["thread"], len(tids) + 1),
+                    "args": rendered_args,
+                }
+            )
         for thread_name, tid in tids.items():
             events.append(
                 {

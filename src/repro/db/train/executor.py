@@ -162,16 +162,13 @@ def _summary_result(record: ModelVersionRecord, batches: int):
 
 
 def execute_create_model(database, statement: CreateModel, sql_text=None):
-    collector = database._begin_query(
-        sql_text or "<CreateModel>", parallel=False
-    )
-    try:
-        result = _run_create_model(database, statement)
-    except Exception as error:
-        database.metrics.counter("training.failures").increment()
-        database._finish_query(collector, error=error)
-        raise
-    database._finish_query(collector, result=result)
+    with database._track_query(sql_text or "<CreateModel>") as profile:
+        try:
+            result = _run_create_model(database, statement)
+        except Exception:
+            database.metrics.counter("training.failures").increment()
+            raise
+        profile.rows_returned = result.row_count
     return result
 
 
@@ -276,21 +273,13 @@ def _publish(
 def execute_alter_model(database, statement: AlterModel, sql_text=None):
     from repro.db.engine import Result
 
-    collector = database._begin_query(
-        sql_text or "<AlterModel>", parallel=False
-    )
-    try:
+    with database._track_query(sql_text or "<AlterModel>") as profile:
         with database.catalog_lock:
             database.catalog.set_current_version(
                 statement.model_name, statement.version
             )
         database.metrics.counter("training.swaps").increment()
-    except Exception as error:
-        database._finish_query(collector, error=error)
-        raise
-    result = Result.empty()
-    database._finish_query(collector, result=result)
-    return result
+    return Result.empty(profile)
 
 
 def render_create_model_explain(database, statement: CreateModel):

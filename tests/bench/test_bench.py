@@ -1,5 +1,7 @@
 """Benchmark harness plumbing (tiny workloads — speed matters here)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import (
     format_bytes,
     format_counter_summary,
+    format_metrics_summary,
     format_qualitative_table,
     format_runtime_series,
     format_seconds,
@@ -97,6 +100,28 @@ class TestSweeps:
         assert all(point.experiment == "fig8" for point in points)
         assert all(not point.skipped for point in points)
         assert all(point.seconds > 0 for point in points)
+
+    def test_variant_metrics_cover_only_own_queries(self):
+        """Variants of one cell share an engine; each point's metrics
+        must not carry a model build an earlier variant paid."""
+        config = replace(
+            TINY, variants=("ModelJoin_CPU", "TF_CAPI_CPU", "TF_CPU")
+        )
+        points = {point.variant: point for point in run_dense_sweep(config)}
+        build = "modeljoin.build_seconds.p50"
+        assert build in points["ModelJoin_CPU"].extra["metrics"]
+        for name in ("TF_CAPI_CPU", "TF_CPU"):
+            metrics = points[name].extra.get("metrics", {})
+            assert not any(
+                key.startswith("modeljoin.build_seconds") for key in metrics
+            )
+        summary = format_metrics_summary(list(points.values()))
+        row = next(
+            line for line in summary.splitlines()
+            if line.startswith("TF_CAPI_CPU")
+        )
+        # the build_seconds column (after three latency columns) is empty
+        assert row.split()[4] == "--"
 
     def test_lstm_sweep_shape(self):
         points = run_lstm_sweep(TINY)
@@ -198,10 +223,10 @@ class TestReporting:
             8,
             2,
             0.1,
-            extra={"counters": {"morsels": 4, "model-cache-hits": 1}},
+            extra={"counters": {"morsels": 4, "cache.hits": 1}},
         )
         csv = points_to_csv([point])
-        assert '"model-cache-hits=1;morsels=4"' in csv
+        assert '"cache.hits=1;morsels=4"' in csv
 
     def test_counter_summary_aggregates(self):
         points = [
@@ -214,7 +239,7 @@ class TestReporting:
                 0.1,
                 extra={
                     "counters": {
-                        "model-cache-misses": 1,
+                        "cache.misses": 1,
                         "morsels": 4,
                         "buffer-bytes-reused": 1 << 20,
                     }
@@ -227,11 +252,11 @@ class TestReporting:
                 16,
                 2,
                 0.1,
-                extra={"counters": {"model-cache-hits": 1, "morsels": 4}},
+                extra={"counters": {"cache.hits": 1, "morsels": 4}},
             ),
         ]
         text = format_counter_summary(points)
-        assert "model-cache-hits" in text
+        assert "cache.hits" in text
         assert "morsels" in text
         assert "8" in text  # morsels summed across points
         assert "1.0 MB" in text  # bytes rendered human-readable

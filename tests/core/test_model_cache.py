@@ -51,10 +51,10 @@ class TestWarmQueries:
         publish_model(db, "m", make_model())
         cold_predictions, cold_profile = run_query(db)
         warm_predictions, warm_profile = run_query(db)
-        assert cold_profile.counters.get("model-cache-misses") == 1
-        assert cold_profile.counters.get("model-cache-hits") == 0
-        assert warm_profile.counters.get("model-cache-hits") == 1
-        assert warm_profile.counters.get("model-cache-misses") == 0
+        assert cold_profile.counters.get("cache.misses") == 1
+        assert cold_profile.counters.get("cache.hits") == 0
+        assert warm_profile.counters.get("cache.hits") == 1
+        assert warm_profile.counters.get("cache.misses") == 0
         np.testing.assert_array_equal(cold_predictions, warm_predictions)
         db.close()
 
@@ -78,8 +78,8 @@ class TestWarmQueries:
         uncached.model_cache = None
         publish_model(uncached, "m", make_model())
         plain_predictions, plain_profile = run_query(uncached)
-        assert plain_profile.counters.get("model-cache-hits") == 0
-        assert plain_profile.counters.get("model-cache-misses") == 0
+        assert plain_profile.counters.get("cache.hits") == 0
+        assert plain_profile.counters.get("cache.misses") == 0
         np.testing.assert_array_equal(warm_predictions, plain_predictions)
         cached.close()
         uncached.close()
@@ -93,7 +93,7 @@ class TestWarmQueries:
         warm_predictions, warm_profile = run_query(db)
         # One decision per query, not one per pipeline — a split
         # decision would deadlock on the build barrier.
-        assert warm_profile.counters.get("model-cache-hits") == 1
+        assert warm_profile.counters.get("cache.hits") == 1
         assert len(warm_predictions) == ROWS
         db.close()
 
@@ -105,7 +105,7 @@ class TestWarmQueries:
             "SELECT id, m.prediction_0 FROM fact "
             "MODEL JOIN m USING (f0, f1, f2)"
         )
-        assert db.last_profile.counters.get("model-cache-hits") == 1
+        assert db.last_profile.counters.get("cache.hits") == 1
         db.close()
 
 
@@ -129,8 +129,8 @@ class TestInvalidation:
         assert table.version == version_before + 1
 
         after, profile = run_query(db)
-        assert profile.counters.get("model-cache-misses") == 1
-        assert profile.counters.get("model-cache-hits") == 0
+        assert profile.counters.get("cache.misses") == 1
+        assert profile.counters.get("cache.hits") == 0
         assert not np.array_equal(before, after)
         db.close()
 
@@ -140,7 +140,7 @@ class TestInvalidation:
         before, _ = run_query(db)
         publish_model(db, "m", make_model(seed=2), replace=True)
         after, profile = run_query(db)
-        assert profile.counters.get("model-cache-misses") == 1
+        assert profile.counters.get("cache.misses") == 1
         assert not np.array_equal(before, after)
         db.close()
 
@@ -166,7 +166,7 @@ class TestInvalidation:
         # uid differs, so even a stale entry could never match.
         assert db.table("m_table").uid != old_uid
         _, profile = run_query(db)
-        assert profile.counters.get("model-cache-misses") == 1
+        assert profile.counters.get("cache.misses") == 1
         db.close()
 
 

@@ -5,7 +5,8 @@ error, fault, slow and fallback rows; the top-5-slowest ranking),
 joins of ``system.*`` tables against user tables (bit-exact vs the
 providers' Python-side state), live progress through
 ``system.active_queries`` from a second thread, query-log persistence
-across a crash-kill restart, and the Prometheus round trip.
+across a crash-kill restart, the Prometheus round trip, and that
+each event is counted once and reads the same in every view.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from repro.db.introspect import (
     metrics_to_prometheus,
     parse_prometheus_text,
 )
+from repro.core.registry import publish_model
 from repro.db.introspect.log import LOG_FILE_NAME
+from repro.db.introspect.prometheus import prometheus_name
 from repro.errors import BindError, CatalogError
+from repro.nn.layers import Dense
+from repro.nn.model import Sequential
 
 
 def _fill(db: Database, rows: int = 64) -> None:
@@ -400,6 +405,94 @@ class TestPrometheus:
             parsed["repro_query_count"]["value"]
             == db.metrics.counter("query.count").value
         )
+
+
+#: per-query counter (= registry name) -> its ``system.queries`` column
+_EVENTS = {
+    "cache.hits": "cache_hits",
+    "cache.misses": "cache_misses",
+    "query.retries": "retries",
+}
+
+
+def _exported(db: Database) -> dict[str, float]:
+    parsed = parse_prometheus_text(db.export_metrics_text())
+    return {
+        event: parsed.get(prometheus_name(event), {}).get("value", 0)
+        for event in _EVENTS
+    }
+
+
+class TestEachEventCountedOnce:
+    """One event, one count, one name: the query's counter, its
+    ``system.queries`` column and the registry's Prometheus delta agree."""
+
+    def _assert_views_agree(self, db, profile, before) -> None:
+        delta = {
+            event: value - before[event]
+            for event, value in _exported(db).items()
+        }
+        (row,) = db.execute(
+            f"SELECT {', '.join(_EVENTS.values())} FROM system.queries "
+            f"WHERE query_id = {profile.query_id}"
+        ).rows
+        for event, logged in zip(_EVENTS, row):
+            assert profile.counters.get(event) == logged == delta[event], (
+                event
+            )
+
+    def test_counter_row_and_registry_agree(self, monkeypatch):
+        db = repro.connect(parallelism=4, task_retries=1)
+        db.execute(
+            "CREATE TABLE p (k INTEGER, v FLOAT) "
+            "PARTITION BY (k) PARTITIONS 4"
+        )
+        db.execute(
+            "INSERT INTO p VALUES "
+            + ", ".join(f"({i}, {i * 0.01})" for i in range(400))
+        )
+        publish_model(
+            db, "m", Sequential([Dense(1, "sigmoid")], input_width=1)
+        )
+        # A MODEL JOIN run twice: a cache miss, then a hit.
+        join = "SELECT k, m.prediction_0 FROM p MODEL JOIN m USING (v)"
+        for hits, misses in ((0, 1), (1, 0)):
+            before = _exported(db)
+            profile = db.execute(join).profile
+            assert profile.counters.get("cache.hits") == hits
+            assert profile.counters.get("cache.misses") == misses
+            self._assert_views_agree(db, profile, before)
+
+        # A parallel query retried under an injected worker.task fault.
+        scan = "SELECT k, v FROM p WHERE k >= 0"
+        before = _exported(db)
+        with faults.active(FaultInjector(seed=1)) as injector:
+            injector.raise_once("worker.task", count=1)
+            profile = db.execute(scan, parallel=True).profile
+        assert profile.counters.get("query.retries") == 1
+        self._assert_views_agree(db, profile, before)
+
+        # A query that fails once the retry budget is spent still folds
+        # its retries into the registry (its record is caught on the
+        # way to the log: a failed query returns no Result).
+        finished = []
+        end_query = db._end_query
+
+        def spy(profile, error):
+            finished.append(profile)
+            end_query(profile, error)
+
+        monkeypatch.setattr(db, "_end_query", spy)
+        before = _exported(db)
+        with faults.active(FaultInjector(seed=3)) as injector:
+            injector.raise_with_probability("worker.task", 1.0)
+            with pytest.raises(InjectedFaultError):
+                db.execute(scan, parallel=True)
+        failed = finished[-1]
+        assert failed.status == "error"
+        assert failed.counters.get("query.retries") > 0
+        self._assert_views_agree(db, failed, before)
+        db.close()
 
 
 class TestFallbackFlag:

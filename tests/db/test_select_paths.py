@@ -5,9 +5,9 @@ JOIN) runs through every way the engine can execute it — direct serial
 and ``parallel=True``, a served :class:`~repro.db.serve.Session`
 (serial and parallel), and ``explain_analyze`` serial and parallel —
 with the optimizer rules and the compiled kernels each on and off, on
-a single-process database and on a 2-shard fleet.  Every result must
-agree with the single-process direct serial run under the merge
-contract of docs/SHARDING.md: bit-exact, except that a sharded
+a single-process database and on 1-, 2- and 3-shard fleets.  Every
+result must agree with the single-process direct serial run under the
+merge contract of docs/SHARDING.md: bit-exact, except that a sharded
 ``partial`` merge (re-aggregated shard partials) may differ in
 floating-point aggregates by re-association rounding.
 
@@ -90,7 +90,7 @@ class _Engine:
 
 @pytest.fixture(scope="module")
 def engines():
-    opened = {shards: _Engine(shards) for shards in (0, 2)}
+    opened = {shards: _Engine(shards) for shards in (0, 1, 2, 3)}
     yield opened
     for engine in opened.values():
         engine.close()
