@@ -106,8 +106,10 @@ class ModelCache:
     """Engine-lifetime LRU cache of finalized model builds.
 
     Thread-safe: partition pipelines of concurrent queries may look up
-    and insert under contention.  The cache owns its own accountant
-    because its contents outlive any single query's context.
+    and insert under contention.  The lock guards only the entry maps
+    and counters; checksums are computed outside it.  The cache owns
+    its own accountant because its contents outlive any single query's
+    context.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
@@ -144,31 +146,41 @@ class ModelCache:
         ``cache.corruption`` metric) and reported as a miss, so the
         caller transparently rebuilds instead of serving corrupt
         weights.
+
+        The checksum runs outside the lock: concurrent lookups (and
+        :meth:`statistics`) never queue behind another hit's pass over
+        the weights.  The quarantine then evicts only if the entry
+        verified is still the one cached, so a fresh build ``put``
+        meanwhile survives.
         """
         with self._lock:
             built = self._entries.get(key)
             if built is None:
                 self.misses += 1
                 return None
-            if faults.ACTIVE is not None and faults.ACTIVE.corrupts(
-                "cache.load"
-            ):
-                _flip_bits(built)
             expected = self._checksums.get(key)
-            if expected is not None and model_checksum(built) != expected:
-                self._entries.pop(key)
-                self._checksums.pop(key, None)
-                self.memory.release(
-                    built.nominal_bytes(), MEMORY_CATEGORY
-                )
+        if faults.ACTIVE is not None and faults.ACTIVE.corrupts(
+            "cache.load"
+        ):
+            _flip_bits(built)
+        if expected is not None and model_checksum(built) != expected:
+            with self._lock:
+                if self._entries.get(key) is built:
+                    self._entries.pop(key)
+                    self._checksums.pop(key, None)
+                    self.memory.release(
+                        built.nominal_bytes(), MEMORY_CATEGORY
+                    )
                 self.corruptions += 1
                 self.misses += 1
-                if self.metrics is not None:
-                    self.metrics.counter("cache.corruption").increment()
-                return None
-            self._entries.move_to_end(key)
+            if self.metrics is not None:
+                self.metrics.counter("cache.corruption").increment()
+            return None
+        with self._lock:
+            if self._entries.get(key) is built:
+                self._entries.move_to_end(key)
             self.hits += 1
-            return built
+        return built
 
     def put(self, key: CacheKey, built: BuiltModel) -> None:
         """Insert a finalized build, evicting LRU entries over the cap.
@@ -180,11 +192,12 @@ class ModelCache:
         nbytes = built.nominal_bytes()
         if nbytes > self.capacity_bytes:
             return
+        checksum = model_checksum(built)
         with self._lock:
             if key in self._entries:
                 return
             self._entries[key] = built
-            self._checksums[key] = model_checksum(built)
+            self._checksums[key] = checksum
             self.memory.allocate(nbytes, MEMORY_CATEGORY)
             while (
                 self.memory.current_bytes > self.capacity_bytes

@@ -14,7 +14,6 @@ Unlike ML-To-SQL, payload columns are simply passed through untouched
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterator
 
@@ -47,8 +46,6 @@ from repro.errors import (
     ModelJoinError,
     WorkerCrashError,
 )
-
-_shared_state_lock = threading.Lock()
 
 
 class ModelJoinOperator(UnaryOperator):
@@ -200,7 +197,7 @@ class ModelJoinOperator(UnaryOperator):
         whose barrier is not broken.
         """
         key = self._decision_key()
-        with _shared_state_lock:
+        with self.context.shared_state_lock:
             decision = self.context.shared_state.get(key)
             if (
                 decision is not None
@@ -215,11 +212,12 @@ class ModelJoinOperator(UnaryOperator):
         All partition pipelines of one query must agree: a cache hit
         skips the build barrier entirely, so a mixed hit/miss within
         one query would deadlock the pipelines that wait.  The first
-        pipeline to arrive decides under the shared-state lock and the
-        rest follow its decision.
+        pipeline to arrive decides under the query's shared-state lock
+        and the rest follow its decision; other queries decide under
+        their own locks, so a hit's checksum never queues them.
         """
         key = self._decision_key()
-        with _shared_state_lock:
+        with self.context.shared_state_lock:
             decision = self.context.shared_state.get(key)
             if decision is None:
                 built: BuiltModel | None = None

@@ -43,6 +43,7 @@ import re
 
 import numpy as np
 
+from repro.db.column import resolve_ranges
 from repro.db.expressions import (
     BinaryOp,
     CaseWhen,
@@ -287,14 +288,7 @@ def compile_range_checker(schema: Schema, ranges) -> object | None:
     Returns ``None`` when no predicate applies to *schema* (callers
     then skip the check entirely).
     """
-    resolved = []
-    for predicate in ranges:
-        if not schema.has_column(predicate.column):
-            continue
-        resolved.append(
-            (schema.position_of(predicate.column), predicate.low,
-             predicate.high)
-        )
+    resolved = resolve_ranges(schema, ranges)
     if not resolved:
         return None
 

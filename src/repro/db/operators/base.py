@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -33,6 +34,11 @@ class ExecutionContext:
     #: arbitrary extension point (the ModelJoin stores its shared model
     #: build state here, keyed by operator id)
     shared_state: dict = field(default_factory=dict)
+    #: guards *shared_state*; one per query, so pipelines of different
+    #: queries never wait on each other's decisions
+    shared_state_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
     #: span producer (a no-op NullTracer unless the engine enabled it)
     tracer: Tracer = NULL_TRACER
     #: engine-lifetime metrics registry, or None without an engine

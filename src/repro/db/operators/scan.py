@@ -4,13 +4,84 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
+from typing import NamedTuple
 
-from repro.db.column import Block, ColumnRange
+import numpy as np
+
+from repro.db.column import Block, ColumnRange, resolve_ranges
 from repro.db.compile.codegen import compile_range_checker
 from repro.db.operators.base import ExecutionContext, PhysicalOperator
 from repro.db.schema import Schema
-from repro.db.table import Table
+from repro.db.table import Table, key_partition
 from repro.db.vector import VectorBatch
+
+
+class BlockSelection(NamedTuple):
+    """The blocks a scan reads, and how many it skips."""
+
+    #: ``(partition index, surviving blocks)`` in scan order
+    partitions: list
+    #: blocks skipped by partition-key pruning or zone maps
+    skipped: int
+    #: of those, blocks of column files (``storage.blocks_skipped``)
+    disk_skipped: int
+
+    @property
+    def rows(self) -> int:
+        return sum(
+            block.length for _, blocks in self.partitions for block in blocks
+        )
+
+
+def select_blocks(
+    table, ranges: list[ColumnRange], partition_index: int | None = None
+) -> BlockSelection:
+    """Blocks of *table* (or one partition) that may satisfy *ranges*.
+
+    The one block selection behind scans, morsel queues and the
+    planner's zone-map estimate.  An exact equality on the partition
+    key leaves only the partition inserts route that key to
+    (:func:`repro.db.table.key_partition`); every block of the others
+    is skipped unread.  Within a partition, disk blocks are pruned by
+    one NumPy mask over their footer zone-map arrays, and overlay and
+    memory blocks by the compiled per-block checker.
+    """
+    if partition_index is None:
+        indexes = range(table.num_partitions)
+    else:
+        indexes = (partition_index,)
+    resolved = resolve_ranges(table.schema, ranges)
+    may_match = compile_range_checker(table.schema, ranges)
+    routed = key_partition(table, ranges) if ranges else None
+    chosen: list = []
+    skipped = disk_skipped = 0
+    for index in indexes:
+        zone_maps, others = table.partitions[index].zone_maps()
+        disk = zone_maps.blocks if zone_maps is not None else ()
+        if routed is not None and index != routed:
+            skipped += len(disk) + len(others)
+            disk_skipped += len(disk)
+            continue
+        if may_match is None:
+            chosen.append((index, [*disk, *others]))
+            continue
+        surviving = []
+        if disk:
+            keep = np.flatnonzero(zone_maps.mask(resolved))
+            surviving = [disk[position] for position in keep]
+            disk_skipped += len(disk) - len(surviving)
+        surviving += [block for block in others if may_match(block.stats)]
+        skipped += len(disk) + len(others) - len(surviving)
+        chosen.append((index, surviving))
+    return BlockSelection(chosen, skipped, disk_skipped)
+
+
+def count_disk_skipped(context: ExecutionContext, selection) -> None:
+    """Add a selection's skipped column-file blocks to the registry."""
+    if selection.disk_skipped and context.metrics is not None:
+        context.metrics.counter("storage.blocks_skipped").increment(
+            selection.disk_skipped
+        )
 
 
 class TableScan(PhysicalOperator):
@@ -60,10 +131,6 @@ class TableScan(PhysicalOperator):
         super().__init__(context, schema)
         self.table = table
         self.ranges = ranges or []
-        #: zone-map checker with column positions resolved once (the
-        #: generic Block.may_match re-resolves names per block); None
-        #: when no range predicate applies to this table
-        self._may_match = compile_range_checker(table.schema, self.ranges)
         self.partition_index = partition_index
         self._positions = positions
         self._projected = columns is not None and len(positions) < len(
@@ -136,28 +203,17 @@ class TableScan(PhysicalOperator):
             self.schema, [block.arrays[p] for p in self._positions]
         )
 
-    def _prune_block(self, block) -> None:
-        self.blocks_pruned += 1
-        if getattr(block, "is_disk", False):
-            metrics = self.context.metrics
-            if metrics is not None:
-                metrics.counter("storage.blocks_skipped").increment()
-
     def _produce(self) -> Iterator[VectorBatch]:
         if self.morsel_source is not None:
             yield from self._produce_morsels()
             return
-        if self.partition_index is None:
-            partitions = self.table.partitions
-        else:
-            partitions = [self.table.partitions[self.partition_index]]
-        for partition in partitions:
-            for block in partition.blocks():
-                if self._may_match is not None and not self._may_match(
-                    block.stats
-                ):
-                    self._prune_block(block)
-                    continue
+        selection = select_blocks(
+            self.table, self.ranges, self.partition_index
+        )
+        self.blocks_pruned += selection.skipped
+        count_disk_skipped(self.context, selection)
+        for _, blocks in selection.partitions:
+            for block in blocks:
                 self.blocks_scanned += 1
                 self.bytes_scanned += block.nominal_bytes()
                 batch = self._block_batch(block)
@@ -167,9 +223,10 @@ class TableScan(PhysicalOperator):
     def _produce_morsels(self) -> Iterator[VectorBatch]:
         """Morsel-driven scanning: pull row ranges from a shared queue.
 
-        The pipelines of one query collectively drain the source; block
-        pruning still applies per block, and the profile counts the
-        morsels each worker executed (load-balance observability).
+        The pipelines of one query collectively drain the source, which
+        holds only the blocks :func:`select_blocks` kept; the profile
+        counts the morsels each worker executed (load-balance
+        observability).
         With tracing on, each morsel is a span that stays open while
         the downstream operators consume its vectors — the span covers
         this worker's whole per-morsel pipeline work, and the
@@ -205,11 +262,6 @@ class TableScan(PhysicalOperator):
             counters.increment("morsels")
             counters.increment(f"morsels.{worker}")
             block = morsel.block
-            if self._may_match is not None and not self._may_match(
-                block.stats
-            ):
-                self._prune_block(block)
-                continue
             self.blocks_scanned += 1
             span = morsel.row_stop - morsel.row_start
             self.bytes_scanned += (

@@ -273,20 +273,24 @@ class MorselSource:
     back on the queue for the retry to process exactly once).
     """
 
-    def __init__(self, table, morsel_rows: int = MORSEL_ROWS):
+    def __init__(self, table, morsel_rows: int = MORSEL_ROWS, ranges=None):
+        from repro.db.operators.scan import select_blocks
+
         self.table = table
         self._lock = threading.Lock()
-        self._morsels = self._split(table, morsel_rows)
+        #: the scan's block selection: morsels cover only its blocks
+        self.selection = select_blocks(table, ranges or [])
+        self._morsels = self._split(self.selection, morsel_rows)
         self._cursor = 0
         self.dispensed = 0
         self.requeued = 0
         self._inflight: dict[object, list[Morsel]] = {}
 
     @staticmethod
-    def _split(table, morsel_rows: int) -> list[Morsel]:
+    def _split(selection, morsel_rows: int) -> list[Morsel]:
         morsels: list[Morsel] = []
-        for partition_index, partition in enumerate(table.partitions):
-            for block in partition.blocks():
+        for partition_index, blocks in selection.partitions:
+            for block in blocks:
                 rows = block.length
                 for start in range(0, rows, morsel_rows):
                     morsels.append(
@@ -351,7 +355,7 @@ def attach_morsel_sources(
     the shared sources that were attached ([] means static partition
     binding stays in effect).
     """
-    from repro.db.operators.scan import TableScan
+    from repro.db.operators.scan import TableScan, count_disk_skipped
 
     partitioned_scans: list[list[TableScan]] = []
     for plan in plans:
@@ -369,13 +373,22 @@ def attach_morsel_sources(
     tables = {id(scans[0].table) for scans in partitioned_scans}
     if len(tables) != 1:
         return []
+    first = partitioned_scans[0][0]
     source = MorselSource(
-        partitioned_scans[0][0].table, morsel_rows=morsel_rows
+        first.table, morsel_rows=morsel_rows, ranges=first.ranges
     )
     for index, scans in enumerate(partitioned_scans):
         scans[0].morsel_source = source
         scans[0].morsel_owner = index
-    partitioned_scans[0][0].context.profile.morsels_total = len(source)
+    # Blocks left out of the queue are skipped once per query, however
+    # many pipelines (or retries) drain it.
+    context = first.context
+    context.profile.morsels_total = len(source)
+    if source.selection.skipped:
+        context.counters.increment(
+            "scan.blocks_skipped", source.selection.skipped
+        )
+    count_disk_skipped(context, source.selection)
     return [source]
 
 

@@ -34,6 +34,7 @@ from repro.db.expressions import (
 )
 from repro.db.functions import has_function
 from repro.db.operators import AggregateSpec
+from repro.db.operators.scan import select_blocks
 from repro.db.sql.ast import (
     FromItem,
     JoinRef,
@@ -95,19 +96,15 @@ def _zone_map_row_estimate(table, ranges) -> int | None:
     Disk-resident tables persist per-block zone maps in their column
     file footers, so counting the rows of the blocks that survive the
     derived SMA ranges is exact block-granular cardinality — and free:
-    footers are metadata, no block payload is read.  Memory tables
-    keep the generic selectivity guess (their stats exist too, but the
-    cheap heuristic has the right fidelity for data that was never
-    sized for I/O).
+    footers are metadata, no block payload is read.  The blocks counted
+    are the ones the scan reads (the same :func:`select_blocks`).
+    Memory tables keep the generic selectivity guess (their stats exist
+    too, but the cheap heuristic has the right fidelity for data that
+    was never sized for I/O).
     """
     if not getattr(table, "disk_resident", False):
         return None
-    surviving = 0
-    for partition in table.partitions:
-        for block in partition.blocks():
-            if block.may_match(table.schema, ranges):
-                surviving += block.length
-    return surviving
+    return select_blocks(table, ranges).rows
 
 
 class LogicalScan(LogicalNode):
@@ -628,7 +625,8 @@ def range_of_conjunct(
         return None
     value = float(right.value)
     if operator == "=":
-        return ColumnRange(column, value, value)
+        key = right.value if isinstance(right.value, int) else None
+        return ColumnRange(column, value, value, key)
     if operator == "<":
         return ColumnRange(column, None, value)
     if operator == "<=":

@@ -13,10 +13,8 @@ the stub's one local partition raises when its blocks are read.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.db.schema import Schema
-from repro.db.table import Partition, Table
+from repro.db.table import Partition, Table, partition_of
 from repro.db.vector import VectorBatch
 from repro.errors import ShardError
 
@@ -79,16 +77,9 @@ class ShardedTable(Table):
         if len(batch) == 0:
             return
         self.version += 1
-        keys = batch.column(self.partition_key)
-        if keys.dtype == object:
-            hashes = np.fromiter(
-                (hash(key) for key in keys),
-                dtype=np.int64,
-                count=len(keys),
-            )
-        else:
-            hashes = keys.astype(np.int64, copy=False)
-        assignment = np.abs(hashes) % self.shard_count
+        assignment = partition_of(
+            batch.column(self.partition_key), self.shard_count
+        )
         for shard_id in range(self.shard_count):
             mask = assignment == shard_id
             if not mask.any():

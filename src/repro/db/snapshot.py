@@ -43,22 +43,36 @@ from repro.errors import ExecutionError
 
 
 class FrozenPartition:
-    """An immutable view of one partition's sealed blocks."""
+    """An immutable view of one partition's sealed blocks.
 
-    def __init__(self, schema, blocks: list):
-        self.schema = schema
-        self._blocks = list(blocks)
-        self._rows = sum(block.length for block in self._blocks)
+    The source's zone-map arrays (disk partitions) are shared, not
+    copied: they are captured in the same step as the block list, so
+    the view prunes exactly the blocks it holds.
+    """
+
+    def __init__(self, partition):
+        self.schema = partition.schema
+        zone_maps, others = partition.zone_maps()
+        self._zone_maps = zone_maps
+        self._others = list(others)
+        self._rows = sum(block.length for block in self._others) + (
+            zone_maps.rows if zone_maps is not None else 0
+        )
 
     @property
     def row_count(self) -> int:
         return self._rows
 
     def blocks(self) -> list:
-        return list(self._blocks)
+        if self._zone_maps is None:
+            return list(self._others)
+        return list(self._zone_maps.blocks) + self._others
+
+    def zone_maps(self) -> tuple:
+        return self._zone_maps, self._others
 
     def nominal_bytes(self) -> int:
-        return sum(block.nominal_bytes() for block in self._blocks)
+        return sum(block.nominal_bytes() for block in self.blocks())
 
     def append(self, batch: VectorBatch) -> None:
         raise ExecutionError("snapshot partitions are read-only")
@@ -69,7 +83,7 @@ class FrozenPartition:
         vector_size: int = VECTOR_SIZE,
     ) -> Iterator[VectorBatch]:
         ranges = ranges or []
-        for block in self._blocks:
+        for block in self.blocks():
             if ranges and not block.may_match(self.schema, ranges):
                 continue
             batch = block.to_batch(self.schema)
@@ -94,8 +108,7 @@ class FrozenTable:
         self.version = table.version
         self.disk_resident = table.disk_resident
         self.partitions = [
-            FrozenPartition(table.schema, partition.blocks())
-            for partition in table.partitions
+            FrozenPartition(partition) for partition in table.partitions
         ]
 
     @property

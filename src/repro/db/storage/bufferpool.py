@@ -127,22 +127,30 @@ class BufferPool:
     def _evict_over_cap(self) -> None:
         """Evict LRU unpinned frames until the cap holds (lock held).
 
+        Walks the frames in LRU order and stops as soon as the evicted
+        bytes cover the excess, so a miss touches only its victims.
+
         If everything resident is pinned the pool overshoots rather
         than deadlocking — pins are short-lived (one batch assembly).
         """
-        if self.memory.current_bytes <= self.capacity_bytes:
+        excess = self.memory.current_bytes - self.capacity_bytes
+        if excess <= 0:
             return
-        victims = [
-            key for key, frame in self._frames.items() if frame.pins == 0
-        ]
+        victims: list = []
+        for key, frame in self._frames.items():  # LRU first
+            if frame.pins == 0:
+                victims.append(key)
+                excess -= frame.nbytes
+                if excess <= 0:
+                    break
         for key in victims:
-            if self.memory.current_bytes <= self.capacity_bytes:
-                break
             frame = self._frames.pop(key)
             self.memory.release(frame.nbytes, MEMORY_CATEGORY)
-            self.statistics.evictions += 1
-            if self.metrics is not None:
-                self.metrics.counter("bufferpool.evictions").increment()
+        self.statistics.evictions += len(victims)
+        if victims and self.metrics is not None:
+            self.metrics.counter("bufferpool.evictions").increment(
+                len(victims)
+            )
 
     def invalidate_prefix(self, prefix: str) -> int:
         """Drop every frame whose key starts with *prefix*.

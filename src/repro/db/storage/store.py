@@ -39,6 +39,7 @@ from repro.db.column import (
     BlockBuilder,
     ColumnRange,
     MinMax,
+    ZoneMaps,
     stats_may_match,
 )
 from repro.db.schema import Column, Schema
@@ -181,8 +182,8 @@ class DiskPartition:
         self.tracer = tracer
         self._overlay = BlockBuilder(schema, block_size)
         self._readers: list[ColumnFileReader] | None = None
-        self._disk_blocks: list[DiskBlock] | None = None
-        self._disk_rows = 0
+        #: the sealed blocks with their footer zone maps as arrays
+        self._zone_maps: ZoneMaps | None = None
 
     # -- footer metadata ------------------------------------------------
     def _ensure_meta(self) -> None:
@@ -205,7 +206,6 @@ class DiskPartition:
                 f"count ({sorted(counts)})"
             )
         blocks: list[DiskBlock] = []
-        rows_total = 0
         for index in range(counts.pop() if counts else 0):
             stats: list[MinMax | None] = []
             rows = None
@@ -227,23 +227,26 @@ class DiskPartition:
                 else:
                     stats.append(None)
             blocks.append(DiskBlock(self, index, int(rows or 0), stats))
-            rows_total += int(rows or 0)
         self._readers = readers
-        self._disk_blocks = blocks
-        self._disk_rows = rows_total
+        self._zone_maps = ZoneMaps.of(blocks, len(self.schema))
 
     # -- Partition protocol ---------------------------------------------
     @property
     def row_count(self) -> int:
         self._ensure_meta()
-        return self._disk_rows + self._overlay.row_count
+        return self._zone_maps.rows + self._overlay.row_count
 
     def append(self, batch: VectorBatch) -> None:
         self._overlay.append(batch)
 
     def blocks(self) -> list:
         self._ensure_meta()
-        return list(self._disk_blocks) + self._overlay.all_blocks()
+        return list(self._zone_maps.blocks) + self._overlay.all_blocks()
+
+    def zone_maps(self) -> tuple[ZoneMaps, list]:
+        """The sealed blocks' zone maps, and the overlay blocks."""
+        self._ensure_meta()
+        return self._zone_maps, self._overlay.all_blocks()
 
     def nominal_bytes(self) -> int:
         self._ensure_meta()
@@ -424,6 +427,9 @@ class StorageEngine:
         #: manifest entries currently backed by on-disk data, by
         #: lower-cased table name (used to skip rewriting clean tables)
         self._persisted: dict[str, dict] = {}
+        #: each persisted table's generation directory, resolved once
+        #: when it is loaded or published (snapshot pins reuse it)
+        self._generation_dirs: dict[str, Path] = {}
         #: snapshot pinning (MVCC-lite, see repro.db.snapshot): a
         #: refcount per pinned generation directory, plus the retired
         #: generations (superseded by a later checkpoint while pinned)
@@ -452,7 +458,7 @@ class StorageEngine:
                 table = self._load_table(entry)
                 catalog.create_table(table)
                 highest_uid = max(highest_uid, table.uid)
-                self._persisted[table.name.lower()] = dict(entry)
+            self._publish(manifest["tables"])
             ensure_uid_floor(highest_uid + 1)
             for model in manifest.get("models", []):
                 catalog.register_model(_metadata_from_entry(model))
@@ -528,13 +534,11 @@ class StorageEngine:
         :meth:`unpin_generations` with the returned pin to release.
         """
         with self._pin_lock:
-            dirs: list[Path] = []
-            for entry in self._persisted.values():
-                directory = (self.root / entry["data_dir"]).resolve()
+            dirs = list(self._generation_dirs.values())
+            for directory in dirs:
                 self._pin_counts[directory] = (
                     self._pin_counts.get(directory, 0) + 1
                 )
-                dirs.append(directory)
         if self.metrics is not None:
             self.metrics.counter("storage.generations_pinned").increment(
                 len(dirs)
@@ -657,10 +661,8 @@ class StorageEngine:
                 "current_versions": dict(catalog.current_versions),
             }
             save_manifest(self.root, manifest)
-            self._persisted = {
-                entry["name"].lower(): dict(entry) for entry in tables
-            }
-            self._cleanup_stale_generations(manifest)
+            self._publish(tables)
+            self._cleanup_stale_generations()
         if self.metrics is not None:
             self.metrics.counter("storage.checkpoints").increment()
         return manifest
@@ -718,11 +720,18 @@ class StorageEngine:
             self._retire_partitions(old_partitions)
         return entry
 
-    def _cleanup_stale_generations(self, manifest: dict) -> None:
-        referenced = {
-            (self.root / entry["data_dir"]).resolve()
-            for entry in manifest["tables"]
+    def _publish(self, entries: list[dict]) -> None:
+        """Record the manifest's tables as the persisted generations."""
+        self._persisted = {
+            entry["name"].lower(): dict(entry) for entry in entries
         }
+        self._generation_dirs = {
+            name: (self.root / entry["data_dir"]).resolve()
+            for name, entry in self._persisted.items()
+        }
+
+    def _cleanup_stale_generations(self) -> None:
+        referenced = set(self._generation_dirs.values())
         tables_root = self.root / TABLES_DIR
         for table_dir in tables_root.iterdir():
             if not table_dir.is_dir():

@@ -18,10 +18,60 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.db.column import BLOCK_SIZE, Block, BlockBuilder, ColumnRange
+from repro.db.column import (
+    BLOCK_SIZE,
+    Block,
+    BlockBuilder,
+    ColumnRange,
+    ZoneMaps,
+)
 from repro.db.schema import Schema
+from repro.db.types import SqlType
 from repro.db.vector import VECTOR_SIZE, VectorBatch
 from repro.errors import DatabaseError, ExecutionError
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def partition_of(keys: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Partition index of each partition-key value: ``abs(key) % n``.
+
+    The one routing rule: inserts place rows with it (and the shard
+    coordinator picks shards with it); partition-key pruning finds a
+    key's partition with it.  Numeric keys route on their int64 value
+    and others on ``hash()``.  NumPy's int64 ``abs`` of the minimum
+    value wraps to itself, whose floor modulo differs from Python's
+    ``abs(k) % n``, so every caller must compute it here.
+    """
+    if keys.dtype == object:
+        hashes = np.fromiter(
+            (hash(key) for key in keys), dtype=np.int64, count=len(keys)
+        )
+    else:
+        hashes = keys.astype(np.int64, copy=False)
+    return np.abs(hashes) % num_partitions
+
+
+def key_partition(table, ranges: list[ColumnRange]) -> int | None:
+    """The only partition an equality on the partition key can match.
+
+    Defined for an exact equality with an integer literal on an
+    ``INTEGER`` partition key (``range.key``), routed like an insert;
+    None means every partition may hold matching rows.
+    """
+    name = table.partition_key
+    if name is None or table.num_partitions == 1:
+        return None
+    if table.schema.column(name).sql_type is not SqlType.INTEGER:
+        return None
+    for predicate in ranges:
+        if predicate.key is not None and predicate.column.lower() == name.lower():
+            if not INT64_MIN <= predicate.key <= INT64_MAX:
+                return None
+            keys = np.array([predicate.key], dtype=np.int64)
+            return int(partition_of(keys, table.num_partitions)[0])
+    return None
 
 
 class Partition:
@@ -40,6 +90,15 @@ class Partition:
 
     def blocks(self) -> list[Block]:
         return self._builder.all_blocks()
+
+    def zone_maps(self) -> tuple[ZoneMaps | None, list]:
+        """Blocks with zone-map arrays, and the blocks checked one by one.
+
+        Memory blocks are all checked one by one; disk partitions
+        return their footer zone maps as arrays (see
+        :class:`repro.db.storage.store.DiskPartition`).
+        """
+        return None, self.blocks()
 
     def nominal_bytes(self) -> int:
         return self._builder.nominal_bytes()
@@ -155,14 +214,9 @@ class Table:
                 partition.append(batch.slice(start, start + int(size)))
                 start += int(size)
             return
-        keys = batch.column(self.partition_key)
-        if keys.dtype == object:
-            hashes = np.fromiter(
-                (hash(key) for key in keys), dtype=np.int64, count=len(keys)
-            )
-        else:
-            hashes = keys.astype(np.int64, copy=False)
-        assignment = np.abs(hashes) % self.num_partitions
+        assignment = partition_of(
+            batch.column(self.partition_key), self.num_partitions
+        )
         for index, partition in enumerate(self.partitions):
             mask = assignment == index
             if mask.any():

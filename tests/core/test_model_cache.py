@@ -1,5 +1,9 @@
 """Cross-query model build cache: hits, invalidation, correctness."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -219,3 +223,180 @@ class TestCacheDataStructure:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             ModelCache(capacity_bytes=-1)
+
+
+# ----------------------------------------------------------------------
+# concurrency: hits are verified outside the cache and query locks
+# ----------------------------------------------------------------------
+class _BlockingChecksum:
+    """Stands in for ``model_checksum``; counts calls and can stall one.
+
+    A call on the build registered as *stalled* signals ``entered`` and
+    waits for ``release`` before delegating (or, with ``wrong`` set,
+    returning a checksum that cannot match).
+    """
+
+    def __init__(self, original):
+        self.original = original
+        self.calls = 0
+        self.stalled = None
+        self.wrong = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, built) -> int:
+        self.calls += 1
+        if built is self.stalled:
+            self.entered.set()
+            assert self.release.wait(10), "checksum never released"
+            if self.wrong:
+                return self.original(built) + 1
+        return self.original(built)
+
+
+@pytest.fixture
+def blocking_checksum(monkeypatch):
+    from repro.core.modeljoin import cache as cache_module
+
+    checksum = _BlockingChecksum(cache_module.model_checksum)
+    monkeypatch.setattr(cache_module, "model_checksum", checksum)
+    yield checksum
+    checksum.release.set()
+
+
+def _in_thread(target) -> tuple[threading.Thread, list]:
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append(target())
+        except BaseException as error:  # re-raised by the test
+            outcome.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _score(db, model: str):
+    return db.execute(
+        f"SELECT id, prediction_0 FROM fact MODEL JOIN {model} "
+        "USING (f0, f1, f2) WHERE id = 7"
+    ).rows
+
+
+def _cached(db, model: str):
+    return next(
+        built
+        for key, built in db.model_cache.entries()
+        if key.model_name == model
+    )
+
+
+class TestConcurrentHits:
+    def _warm(self):
+        db = make_db(parallelism=2)
+        publish_model(db, "m1", make_model(seed=1))
+        publish_model(db, "m2", make_model(seed=2))
+        expected = {name: _score(db, name) for name in ("m1", "m2")}
+        return db, expected
+
+    def test_stalled_hit_blocks_neither_statistics_nor_other_queries(
+        self, blocking_checksum
+    ):
+        db, expected = self._warm()
+        blocking_checksum.stalled = _cached(db, "m1")
+        stalled, stalled_rows = _in_thread(lambda: _score(db, "m1"))
+        assert blocking_checksum.entered.wait(10)
+        # The stalled hit holds neither the cache lock ...
+        statistics, stats_out = _in_thread(db.model_cache.statistics)
+        statistics.join(5)
+        assert not statistics.is_alive()
+        assert stats_out[0]["entries"] == 2
+        # ... nor a lock another query's ModelJoin decision needs.
+        other, other_rows = _in_thread(lambda: _score(db, "m2"))
+        other.join(10)
+        assert not other.is_alive()
+        assert other_rows == [expected["m2"]]
+        assert stalled.is_alive()
+        blocking_checksum.release.set()
+        stalled.join(10)
+        assert stalled_rows == [expected["m1"]]
+        db.close()
+
+    def test_quarantine_spares_an_entry_put_meanwhile(
+        self, blocking_checksum
+    ):
+        cache = ModelCache()
+        key = stub_key(1)
+        stale, fresh = _StubModel(100), _StubModel(40)
+        cache.put(key, stale)
+        blocking_checksum.stalled = stale
+        blocking_checksum.wrong = True  # the stale entry fails its check
+        lookup, found = _in_thread(lambda: cache.get(key))
+        assert blocking_checksum.entered.wait(10)
+        assert cache.invalidate_table("t") == 1
+        cache.put(key, fresh)
+        blocking_checksum.release.set()
+        lookup.join(10)
+        assert found == [None]  # the corrupt build is never served
+        statistics = cache.statistics()
+        assert statistics["corruptions"] == 1
+        assert statistics["entries"] == 1
+        assert cache.resident_bytes == 40
+        assert cache.get(key) is fresh
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_every_hit_checksums_exactly_once(
+        self, blocking_checksum, parallel
+    ):
+        db, _ = self._warm()
+        before = db.model_cache.statistics()["hits"]
+        calls = blocking_checksum.calls
+        for model in ("m1", "m2", "m1", "m1"):
+            db.execute(
+                f"SELECT id, prediction_0 FROM fact MODEL JOIN {model} "
+                "USING (f0, f1, f2)",
+                parallel=parallel,
+            )
+        hits = db.model_cache.statistics()["hits"] - before
+        assert hits == 4
+        assert blocking_checksum.calls - calls == hits
+        db.close()
+
+    def test_stress_keeps_counts_and_bytes_consistent(self):
+        """Many threads, a tiny switch interval: no lost update."""
+        cache = ModelCache(capacity_bytes=350)
+        keys = [stub_key(tag) for tag in range(6)]
+        gets = [0] * 8
+
+        def worker(index: int) -> None:
+            rng = random.Random(index)
+            for _ in range(2000):
+                key, roll = rng.choice(keys), rng.random()
+                if roll < 0.6:
+                    cache.get(key)
+                    gets[index] += 1
+                elif roll < 0.95:
+                    cache.put(key, _StubModel(100))
+                else:
+                    cache.invalidate_table("t")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(len(gets))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        statistics = cache.statistics()
+        assert statistics["hits"] + statistics["misses"] == sum(gets)
+        assert statistics["corruptions"] == 0
+        assert cache.resident_bytes == 100 * statistics["entries"] <= 350

@@ -14,6 +14,11 @@ floating-point aggregates by re-association rounding.
 Partition-parallel execution is only defined for partition-compatible
 queries (GROUP BY including the partition key ``k``, or no
 aggregation), so the parallel paths run only for those.
+
+Key lookups (``WHERE id = k`` on an INTEGER partition key) read only
+the partition inserts route ``k`` to; they run against a checkpointed
+table with overlay rows and must match ``use_block_pruning=False``
+bit-exactly on every path.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ def _load(db):
 
 
 class _Engine:
-    def __init__(self, shards: int):
-        self.db = _load(repro.connect(shards=shards, parallelism=2))
+    def __init__(self, db):
+        self.db = db
         self.server = Server(self.db, queue_capacity=8, dispatchers=1)
         self.session = self.server.open_session(tenant="paths")
 
@@ -90,7 +95,10 @@ class _Engine:
 
 @pytest.fixture(scope="module")
 def engines():
-    opened = {shards: _Engine(shards) for shards in (0, 1, 2, 3)}
+    opened = {
+        shards: _Engine(_load(repro.connect(shards=shards, parallelism=2)))
+        for shards in (0, 1, 2, 3)
+    }
     yield opened
     for engine in opened.values():
         engine.close()
@@ -241,3 +249,127 @@ def test_three_row_reproducer(engines):
 )
 def test_every_path_agrees(engines, query):
     _check(engines, query)
+
+
+# ----------------------------------------------------------------------
+# partition-key lookups on a checkpointed table with overlay rows
+# ----------------------------------------------------------------------
+INT64_MIN = -(2**63)
+#: 3 partitions: NumPy routes INT64_MIN to 1, Python's abs(k) % 3 to 2;
+#: and 2**53 + 1 routes to 0 where its float, 2**53, routes to 2
+KEYED_PARTITIONS = 3
+#: checkpointed ids: the extremes, then three 4096-row blocks per
+#: partition; the overlay adds new ids, a duplicate and 2**53 + 1
+DISK_IDS = [INT64_MIN, 2**53, *range(-15_000, 15_000)]
+OVERLAY_IDS = [2**53 + 1, 20_000, 20_001, 20_002, 4, -15_003]
+LOOKUPS = [
+    *(f"id = {key}" for key in (0, 1, 2, 4, 20_001, -15_003)),
+    "id = 123456789",  # absent
+    "id = -7",  # negative, on disk
+    "id = -8",
+    f"id = {INT64_MIN}",
+    f"id = {2**53 + 1}",
+    f"id = {2**53}",
+    "id = 2.5",  # never equal to an INTEGER
+    "id = 3 AND id = 4",  # contradiction
+    "id = 3 AND x > 0.0",
+]
+
+
+def _keyed_rows(ids: list[int]) -> str:
+    return ", ".join(f"({key}, {(key % 97) / 8})" for key in ids)
+
+
+def _open_keyed(path: str, shards: int):
+    return repro.connect(shards=shards, parallelism=2, path=path)
+
+
+@pytest.fixture(scope="module")
+def keyed_engines(tmp_path_factory):
+    opened = {}
+    for shards in (0, 1, 2, 3):
+        path = str(tmp_path_factory.mktemp(f"keyed{shards}") / "db")
+        db = _open_keyed(path, shards)
+        db.execute(
+            "CREATE TABLE keyed (id INTEGER, x FLOAT) "
+            f"PARTITION BY (id) PARTITIONS {KEYED_PARTITIONS}"
+        )
+        table = db.table("keyed")
+        ids = np.array(DISK_IDS, dtype=np.int64)
+        table.append_batch(
+            VectorBatch.from_dict(
+                table.schema,
+                {"id": ids, "x": ((ids % 97) / 8).astype(np.float32)},
+            )
+        )
+        db.close()  # checkpoints
+        db = _open_keyed(path, shards)
+        db.execute(f"INSERT INTO keyed VALUES {_keyed_rows(OVERLAY_IDS)}")
+        publish_model(
+            db,
+            "mk",
+            Sequential([Dense(2, "relu"), Dense(1, "sigmoid")],
+                       input_width=1, seed=4),
+        )
+        opened[shards] = _Engine(db)
+    yield opened
+    for engine in opened.values():
+        engine.close()
+
+
+def _expected_ids(predicate: str) -> list[int]:
+    matches = {
+        "id = 2.5": [],
+        "id = 3 AND id = 4": [],
+        "id = 3 AND x > 0.0": [3],
+    }
+    if predicate in matches:
+        return matches[predicate]
+    key = int(predicate.removeprefix("id = "))
+    return [key] * (DISK_IDS + OVERLAY_IDS).count(key)
+
+
+@pytest.mark.parametrize("predicate", LOOKUPS)
+@pytest.mark.parametrize("modeljoin", [False, True])
+def test_partition_key_lookups_agree(keyed_engines, predicate, modeljoin):
+    if modeljoin:
+        sql = (
+            "SELECT id, x, prediction_0 FROM keyed MODEL JOIN mk "
+            f"USING (x) WHERE {predicate}"
+        )
+    else:
+        sql = f"SELECT id, x FROM keyed WHERE {predicate}"
+    query = Query(sql, ordered=False, parallel_ok=True)
+    reference_db = keyed_engines[0].db
+    reference_db.planner_options = PlannerOptions(use_block_pruning=False)
+    try:
+        reference = reference_db.execute(sql)
+    finally:
+        reference_db.planner_options = PlannerOptions()
+    assert sorted(row[0] for row in reference.rows) == _expected_ids(
+        predicate
+    )
+    for shards, engine in keyed_engines.items():
+        for path, result in _paths(engine, query).items():
+            _assert_agree(
+                reference,
+                result,
+                ordered=False,
+                tolerant=False,
+                label=f"{path} shards={shards}: {sql}",
+            )
+
+
+def test_key_lookup_reads_one_partition(keyed_engines):
+    """An equality on the key skips every block of the other partitions."""
+    db = keyed_engines[0].db
+    table = db.table("keyed")
+    for key in (1, INT64_MIN, 2**53 + 1):
+        result = db.execute(f"SELECT id FROM keyed WHERE id = {key}")
+        assert result.column("id").tolist() == [key]
+        counters = result.profile.counters
+        blocks = sum(
+            len(partition.blocks()) for partition in table.partitions
+        )
+        assert counters.get("scan.blocks_scanned") == 1, key
+        assert counters.get("scan.blocks_skipped") == blocks - 1, key
