@@ -33,6 +33,7 @@ from repro.core.modeljoin.builder import (
 from repro.db.profiler import ProfileCounters
 from repro.device.base import Device
 from repro.errors import ModelJoinError
+from repro.nn.arena import BufferArena
 
 
 def pack_columns(
@@ -80,50 +81,6 @@ def unpack_views(matrix: np.ndarray) -> list[np.ndarray]:
     views across batches.
     """
     return [matrix[:, index] for index in range(matrix.shape[1])]
-
-
-class BufferArena:
-    """Named, preallocated float32 workspaces for one pipeline.
-
-    ``take(tag, rows, cols)`` returns a ``(rows, cols)`` view of a
-    buffer allocated once at ``max(rows, capacity_rows)`` rows; the
-    same tag returns the same storage on every subsequent vector, so
-    the steady state of the inference loop allocates nothing.  Not
-    thread-safe by design — each partition pipeline owns its own arena.
-    """
-
-    def __init__(
-        self,
-        capacity_rows: int,
-        counters: ProfileCounters | None = None,
-    ):
-        if capacity_rows < 1:
-            raise ModelJoinError("arena capacity must be positive")
-        self.capacity_rows = capacity_rows
-        self.counters = counters
-        self._buffers: dict[str, np.ndarray] = {}
-        #: bytes of allocation avoided by handing out reused buffers
-        self.reused_bytes = 0
-
-    def take(self, tag: str, rows: int, cols: int) -> np.ndarray:
-        buffer = self._buffers.get(tag)
-        if (
-            buffer is None
-            or buffer.shape[0] < rows
-            or buffer.shape[1] != cols
-        ):
-            capacity = max(rows, self.capacity_rows)
-            buffer = np.empty((capacity, cols), dtype=np.float32)
-            self._buffers[tag] = buffer
-        else:
-            saved = rows * cols * buffer.itemsize
-            self.reused_bytes += saved
-            if self.counters is not None:
-                self.counters.increment("buffer-bytes-reused", saved)
-        return buffer[:rows]
-
-    def nominal_bytes(self) -> int:
-        return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
 class VectorizedInference:

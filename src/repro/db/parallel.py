@@ -52,7 +52,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.db import faults
-from repro.db.operators.base import ExecutionContext, PhysicalOperator
+from repro.db.operators.base import PhysicalOperator
 from repro.db.resilience import backoff_seconds
 from repro.db.schema import Schema
 from repro.db.vector import VectorBatch
@@ -461,7 +461,10 @@ def _run_round(
     pool: WorkerPool | None,
     on_error: Callable[[TaskOutcome], None] | None = None,
 ) -> list[TaskOutcome]:
-    """Execute the pending pipelines once, capturing every outcome."""
+    """Execute the pending pipelines once, capturing every outcome.
+
+    One pipeline runs on the caller's thread; more need *pool*.
+    """
     functions = [lambda index=index: run_one(index) for index in pending]
     if len(functions) == 1:
         # Serial (or single-pipeline retry) fast path on the caller's
@@ -473,34 +476,9 @@ def _run_round(
         except BaseException as error:
             outcome.error = error
         return [outcome]
-    if pool is not None:
-        return pool.run_task_outcomes(
-            functions, worker_offset=attempt, on_error=on_error
-        )
-    outcomes = [TaskOutcome() for _ in functions]
-
-    def run_at(position: int) -> None:
-        outcome = outcomes[position]
-        outcome.worker = threading.current_thread().name
-        try:
-            outcome.result = functions[position]()
-        except BaseException as error:
-            outcome.error = error
-            if on_error is not None:
-                try:
-                    on_error(outcome)
-                except Exception:
-                    pass
-
-    threads = [
-        threading.Thread(target=run_at, args=(position,))
-        for position in range(len(functions))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes
+    return pool.run_task_outcomes(
+        functions, worker_offset=attempt, on_error=on_error
+    )
 
 
 def run_plans(
@@ -512,8 +490,11 @@ def run_plans(
 ) -> tuple[Schema, list[VectorBatch]]:
     """Execute already-built partition pipelines concurrently.
 
-    The caller keeps the plan instances, so their post-run operator
-    stats remain inspectable (parallel EXPLAIN ANALYZE merges them).
+    More than one pipeline runs on *pool*, the engine's persistent
+    workers (one pipeline per worker); a single pipeline runs on the
+    caller's thread and needs no pool.  The caller keeps the plan
+    instances, so their post-run operator stats remain inspectable
+    (parallel EXPLAIN ANALYZE merges them).
     With a tracer enabled on the plans' context, every pipeline records
     a ``pipeline`` span on its worker thread, parented under the
     query's span via ``context.trace_parent``.
@@ -617,47 +598,3 @@ def run_plans(
     ]
     return schema, batches
 
-
-def run_partitioned(
-    plan_builder: PlanBuilder,
-    num_partitions: int,
-    max_workers: int | None = None,
-    pool: WorkerPool | None = None,
-    morsel_driven: bool = False,
-    retries: int = 0,
-) -> tuple[Schema, list[VectorBatch]]:
-    """Execute one plan instance per partition pipeline.
-
-    With *pool* the pipelines run on the engine's persistent workers;
-    otherwise a transient thread-per-partition fallback is used (kept
-    for callers without an engine).  With *morsel_driven* the plans are
-    built eagerly and, when eligible, rewired to steal scan morsels
-    from a shared queue (see :func:`attach_morsel_sources`).  With
-    *retries* > 0 crashed pipelines are rebuilt via *plan_builder* and
-    re-run (see :func:`run_plans`).
-
-    Returns the output schema and all result batches, ordered by
-    pipeline (batch order within a pipeline is preserved).
-    """
-    if num_partitions < 1:
-        raise ValueError("need at least one partition")
-
-    if num_partitions == 1:
-        plan = plan_builder(0)
-        return plan.schema, list(plan.batches())
-
-    plans = [plan_builder(index) for index in range(num_partitions)]
-    return run_plans(
-        plans,
-        pool=pool,
-        morsel_driven=morsel_driven,
-        plan_builder=plan_builder,
-        retries=retries,
-    )
-
-
-def make_context(
-    vector_size: int, parallelism: int
-) -> ExecutionContext:
-    """A fresh execution context for a (possibly parallel) query."""
-    return ExecutionContext(vector_size=vector_size, parallelism=parallelism)

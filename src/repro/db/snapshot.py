@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.db.catalog import Catalog
-from repro.db.column import ColumnRange
+from repro.db.table import scan_blocks
 from repro.db.vector import VECTOR_SIZE, VectorBatch
 from repro.errors import ExecutionError
 
@@ -77,18 +77,8 @@ class FrozenPartition:
     def append(self, batch: VectorBatch) -> None:
         raise ExecutionError("snapshot partitions are read-only")
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        ranges = ranges or []
-        for block in self.blocks():
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
+    def scan(self, vector_size: int = VECTOR_SIZE) -> Iterator[VectorBatch]:
+        return scan_blocks(self, vector_size)
 
 
 class FrozenTable:
@@ -143,24 +133,17 @@ class FrozenTable:
         )
 
     def scan_partition(
-        self,
-        partition_index: int,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
+        self, partition_index: int, vector_size: int = VECTOR_SIZE
     ) -> Iterator[VectorBatch]:
         if not 0 <= partition_index < self.num_partitions:
             raise ExecutionError(
                 f"table {self.name!r} has no partition {partition_index}"
             )
-        return self.partitions[partition_index].scan(ranges, vector_size)
+        return self.partitions[partition_index].scan(vector_size)
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
+    def scan(self, vector_size: int = VECTOR_SIZE) -> Iterator[VectorBatch]:
         for partition in self.partitions:
-            yield from partition.scan(ranges, vector_size)
+            yield from partition.scan(vector_size)
 
 
 class DatabaseSnapshot:

@@ -53,7 +53,7 @@ from repro.db.storage.checkpoint import (
     load_manifest,
     save_manifest,
 )
-from repro.db.table import Table, ensure_uid_floor
+from repro.db.table import Table, ensure_uid_floor, scan_blocks
 from repro.db.types import SqlType
 from repro.db.vector import VECTOR_SIZE, VectorBatch
 from repro.errors import ExecutionError
@@ -290,18 +290,8 @@ class DiskPartition:
         """In-memory blocks appended since the last checkpoint."""
         return self._overlay.all_blocks()
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        ranges = ranges or []
-        for block in self.blocks():
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
+    def scan(self, vector_size: int = VECTOR_SIZE) -> Iterator[VectorBatch]:
+        return scan_blocks(self, vector_size)
 
     # -- block data access ----------------------------------------------
     def _frame_key(self, index: int, position: int) -> tuple:

@@ -74,6 +74,21 @@ def key_partition(table, ranges: list[ColumnRange]) -> int | None:
     return None
 
 
+def scan_blocks(
+    partition, vector_size: int = VECTOR_SIZE
+) -> Iterator[VectorBatch]:
+    """Every block of *partition*, in order, as vectors.
+
+    The one unpruned scan body of memory, snapshot and disk
+    partitions.  Pruned scans pick their blocks with
+    :func:`repro.db.operators.scan.select_blocks`.
+    """
+    for block in partition.blocks():
+        batch = block.to_batch(partition.schema)
+        for start in range(0, len(batch), vector_size):
+            yield batch.slice(start, start + vector_size)
+
+
 class Partition:
     """One horizontal slice of a table, stored as sealed blocks."""
 
@@ -103,19 +118,8 @@ class Partition:
     def nominal_bytes(self) -> int:
         return self._builder.nominal_bytes()
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        """Yield vectors, skipping blocks pruned by SMA statistics."""
-        ranges = ranges or []
-        for block in self.blocks():
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
+    def scan(self, vector_size: int = VECTOR_SIZE) -> Iterator[VectorBatch]:
+        return scan_blocks(self, vector_size)
 
 
 #: process-wide unique table identities (survives DROP + re-CREATE of
@@ -243,22 +247,15 @@ class Table:
         self.append_batch(VectorBatch(self.schema, list(columns.values())))
 
     def scan_partition(
-        self,
-        partition_index: int,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
+        self, partition_index: int, vector_size: int = VECTOR_SIZE
     ) -> Iterator[VectorBatch]:
         if not 0 <= partition_index < self.num_partitions:
             raise ExecutionError(
                 f"table {self.name!r} has no partition {partition_index}"
             )
-        return self.partitions[partition_index].scan(ranges, vector_size)
+        return self.partitions[partition_index].scan(vector_size)
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
+    def scan(self, vector_size: int = VECTOR_SIZE) -> Iterator[VectorBatch]:
         """Scan all partitions in order."""
         for partition in self.partitions:
-            yield from partition.scan(ranges, vector_size)
+            yield from partition.scan(vector_size)

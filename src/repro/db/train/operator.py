@@ -3,14 +3,19 @@
 Consumes the materialized feature/label arrays of the source query
 (planned and executed by the regular pipeline — pushdown, compiled
 kernels and persistent scans all apply) and trains a dense stack with
-the :class:`repro.nn.backward.DenseBackward` device-kernel stepper.
+the one dense trainer, :class:`repro.nn.backward.DenseBackward`, on
+the :func:`~repro.nn.backward.minibatch_epochs` schedule — the same
+pair :func:`repro.nn.training.fit` runs, so both front doors give
+bit-identical weights.  This operator adds the engine's machinery
+around each step and epoch: the ``train.step`` fault site with
+bounded retries, cancellation, ``train`` / ``train.epoch`` spans and
+the ``training.*`` metrics.
 
-Determinism contract: the minibatch schedule is drawn from
-``np.random.default_rng(seed)`` exactly like
-:func:`repro.nn.training.fit` (one ``permutation`` per epoch), every
-kernel is float32 NumPy, and the ``train.step`` fault site fires
-*before* the forward pass — so a retried batch reruns against
-untouched weights and an injected fault never perturbs the result.
+Determinism contract: the schedule draws one ``permutation`` per
+epoch from ``np.random.default_rng(seed)``, every kernel is float32
+NumPy, and the ``train.step`` fault site fires *before* the forward
+pass — so a retried batch reruns against untouched weights and an
+injected fault never perturbs the result.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import time
 import numpy as np
 
 from repro.db import faults
+from repro.db.tracing import NULL_TRACER
 from repro.db.train.spec import TrainingSpec
 from repro.errors import InjectedFaultError, TrainingError
-from repro.nn.backward import DenseBackward, WorkspaceArena
+from repro.nn.backward import DenseBackward, minibatch_epochs
 from repro.nn.model import Sequential
 
 
@@ -41,7 +47,6 @@ class TrainOperator:
         model: Sequential,
         spec: TrainingSpec,
         device=None,
-        arena=None,
         tracer=None,
         metrics=None,
         retries: int = 2,
@@ -54,8 +59,7 @@ class TrainOperator:
         self.model = model
         self.spec = spec
         self.device = device
-        self.arena = arena if arena is not None else WorkspaceArena()
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.retries = retries
         self.cancellation = cancellation
@@ -72,15 +76,17 @@ class TrainOperator:
         stepper = DenseBackward(
             self.model,
             self.device,
-            self.arena,
             learning_rate=spec.learning_rate,
             momentum=spec.momentum,
             loss=spec.loss,
         )
-        rng = np.random.default_rng(spec.seed)
+        epochs = minibatch_epochs(
+            features, labels, spec.epochs, spec.batch_size, spec.seed
+        )
         losses: list[float] = []
-        with self._span(
+        with self.tracer.span(
             "train",
+            category="train",
             args={
                 "rows": count,
                 "epochs": spec.epochs,
@@ -88,24 +94,22 @@ class TrainOperator:
                 "loss": spec.loss,
             },
         ):
-            for epoch in range(spec.epochs):
+            for epoch, batches in enumerate(epochs):
                 started = time.perf_counter()
-                order = rng.permutation(count)
                 epoch_loss = 0.0
-                batches = 0
-                with self._span("train.epoch", args={"epoch": epoch}):
-                    for start in range(0, count, spec.batch_size):
-                        index = order[start : start + spec.batch_size]
-                        x = np.ascontiguousarray(features[index])
-                        y = np.ascontiguousarray(labels[index])
+                steps = 0
+                with self.tracer.span(
+                    "train.epoch", category="train", args={"epoch": epoch}
+                ):
+                    for x, y in batches:
                         epoch_loss += self._step(stepper, x, y)
-                        batches += 1
-                losses.append(epoch_loss / max(batches, 1))
+                        steps += 1
+                losses.append(epoch_loss / max(steps, 1))
                 if self.metrics is not None:
                     self.metrics.counter("training.epochs").increment()
                     self.metrics.counter(
                         "training.batches"
-                    ).increment(batches)
+                    ).increment(steps)
                     self.metrics.histogram(
                         "training.epoch_seconds"
                     ).observe(time.perf_counter() - started)
@@ -129,21 +133,13 @@ class TrainOperator:
                         self.metrics.counter(
                             "training.retries"
                         ).increment()
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "train-step-retry",
-                            category="train",
-                            args={"attempt": attempts},
-                        )
+                    self.tracer.instant(
+                        "train-step-retry",
+                        category="train",
+                        args={"attempt": attempts},
+                    )
                     if attempts > self.retries:
                         raise
                     continue
             self.total_batches += 1
             return stepper.train_batch(x, y)
-
-    def _span(self, name: str, args: dict):
-        if self.tracer is not None:
-            return self.tracer.span(name, category="train", args=args)
-        import contextlib
-
-        return contextlib.nullcontext()

@@ -1,51 +1,30 @@
-"""Device-kernel backward pass for dense stacks (in-database training).
+"""The one dense trainer: minibatch SGD over device kernels.
 
-:func:`repro.nn.training.fit` trains with plain NumPy; this module
-expresses the same minibatch-SGD math through the
-:mod:`repro.device` kernel set (``gemm`` / ``multiply`` /
-``activation``) over reusable arena views, so training shares the
+:class:`DenseBackward` runs forward, backward and the momentum update
+of one minibatch through the :mod:`repro.device` kernel set (``gemm``
+/ ``multiply`` / ``add`` / ``activation``) over reusable
+:class:`~repro.nn.arena.BufferArena` views, so training shares the
 accounting, tracing and cancellation machinery of the inference
-kernels.  The engine's ``CREATE MODEL ... AS TRAIN`` operator
-(:mod:`repro.db.train`) drives it with the real inference
-``BufferArena``; :class:`WorkspaceArena` is a standalone stand-in with
-the same ``take`` contract.
+kernels.  :func:`minibatch_epochs` is the one minibatch schedule.
+Both front doors train on the pair: the library's
+:func:`repro.nn.training.fit` and the engine's ``CREATE MODEL ... AS
+TRAIN`` operator (:mod:`repro.db.train`), so the same seed, data and
+hyperparameters give bit-identical weights through either.
 
-Dense-only, like :func:`~repro.nn.training.fit`: LSTM backpropagation
-through time is out of scope (the paper trains nothing at all).
+Dense-only: LSTM backpropagation through time is out of scope (the
+paper trains nothing at all).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.errors import ModelError
+from repro.nn.arena import BufferArena
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
-
-
-class WorkspaceArena:
-    """Minimal named-buffer arena.
-
-    Same ``take(tag, rows, cols)`` contract as the inference
-    ``BufferArena``: one float32 buffer per tag, reused across calls,
-    grown only when a request exceeds its capacity.
-    """
-
-    def __init__(self, capacity_rows: int = 1):
-        self.capacity_rows = max(capacity_rows, 1)
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, tag: str, rows: int, cols: int) -> np.ndarray:
-        buffer = self._buffers.get(tag)
-        if (
-            buffer is None
-            or buffer.shape[0] < rows
-            or buffer.shape[1] != cols
-        ):
-            capacity = max(rows, self.capacity_rows)
-            buffer = np.empty((capacity, cols), dtype=np.float32)
-            self._buffers[tag] = buffer
-        return buffer[:rows]
 
 
 def mse_loss_and_grad(
@@ -87,10 +66,46 @@ LOSS_FUNCTIONS = {
 }
 
 
+def minibatch_epochs(
+    features: np.ndarray,
+    labels: np.ndarray,
+    epochs: int,
+    batch_size: int,
+    seed: int,
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The minibatch schedule: one iterator of ``(x, y)`` per epoch.
+
+    Each epoch draws one ``permutation`` of the rows from
+    ``np.random.default_rng(seed)`` and slices it into runs of
+    *batch_size* (the last run may be shorter).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        yield _batches(
+            features, labels, rng.permutation(len(features)), batch_size
+        )
+
+
+def _batches(
+    features: np.ndarray,
+    labels: np.ndarray,
+    order: np.ndarray,
+    batch_size: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    for start in range(0, len(order), batch_size):
+        index = order[start : start + batch_size]
+        yield (
+            np.ascontiguousarray(features[index]),
+            np.ascontiguousarray(labels[index]),
+        )
+
+
 class DenseBackward:
     """Momentum-SGD stepper over device kernels and arena views.
 
-    One instance owns the velocity state for one training run;
+    One instance owns the velocity state and the workspace arena for
+    one training run (the arena's buffers size themselves to the first
+    minibatch and are reused by every later one);
     :meth:`train_batch` runs forward + backward + update for a single
     minibatch and returns the batch loss.  All arithmetic is float32
     and fully deterministic given the batch sequence.
@@ -100,16 +115,13 @@ class DenseBackward:
         self,
         model: Sequential,
         device,
-        arena,
         learning_rate: float = 0.01,
         momentum: float = 0.9,
         loss: str = "mse",
     ):
         for layer in model.layers:
             if not isinstance(layer, Dense):
-                raise ModelError(
-                    "in-database training supports dense-only models"
-                )
+                raise ModelError("training supports dense-only models")
         loss_function = LOSS_FUNCTIONS.get(loss.lower())
         if loss_function is None:
             raise ModelError(
@@ -118,7 +130,7 @@ class DenseBackward:
             )
         self.model = model
         self.device = device
-        self.arena = arena
+        self.arena = BufferArena(1)
         self.learning_rate = np.float32(learning_rate)
         self.momentum = np.float32(momentum)
         self.loss_name = loss.lower()

@@ -1,9 +1,15 @@
-"""Minimal training for dense networks (SGD with momentum / Adam).
+"""Library front door to the dense trainer (momentum SGD on MSE).
 
 The paper only evaluates *inference*; training exists here so the
 examples can produce genuinely trained models (Iris classification,
-time-series regression heads) instead of random weights.  Dense-only:
-LSTM training is out of scope, exactly as it is for the paper.
+time-series regression heads) instead of random weights.  :func:`fit`
+runs the same trainer as the engine's ``CREATE MODEL ... AS TRAIN``
+(:class:`repro.nn.backward.DenseBackward` on the host device, with
+the :func:`~repro.nn.backward.minibatch_epochs` schedule), so a model
+trained here is bit-identical to the one ``CREATE MODEL`` trains from
+the same seed, rows and hyperparameters with ``loss='mse'``.
+Dense-only: LSTM training is out of scope, exactly as it is for the
+paper.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.device.host import HostDevice
 from repro.errors import ModelError
-from repro.nn.layers import Dense
+from repro.nn.backward import DenseBackward, minibatch_epochs
 from repro.nn.model import Sequential
 
 
@@ -27,22 +34,6 @@ class TrainingReport:
     @property
     def final_loss(self) -> float:
         return self.losses[-1]
-
-
-def _forward_collect(
-    model: Sequential, inputs: np.ndarray
-) -> list[np.ndarray]:
-    """Forward pass keeping every layer's activated output."""
-    outputs = [inputs]
-    current = inputs
-    for layer in model.layers:
-        current = layer.forward(current)
-        outputs.append(current)
-    return outputs
-
-
-def mse_loss(predicted: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((predicted - target) ** 2))
 
 
 def fit(
@@ -59,9 +50,6 @@ def fit(
 
     Targets of shape ``(n,)`` are reshaped to ``(n, 1)``.
     """
-    for layer in model.layers:
-        if not isinstance(layer, Dense):
-            raise ModelError("training supports dense-only models")
     inputs = np.asarray(inputs, dtype=np.float32)
     targets = np.asarray(targets, dtype=np.float32)
     if targets.ndim == 1:
@@ -70,43 +58,18 @@ def fit(
         raise ModelError(
             f"{len(inputs)} inputs vs {len(targets)} targets"
         )
-    rng = np.random.default_rng(seed)
-    velocity = {
-        id(layer): (np.zeros_like(layer.kernel), np.zeros_like(layer.bias))
-        for layer in model.layers
-    }
+    stepper = DenseBackward(
+        model,
+        HostDevice(),
+        learning_rate=learning_rate,
+        momentum=momentum,
+    )
     losses: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(inputs))
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, len(inputs), batch_size):
-            batch_index = order[start : start + batch_size]
-            x = inputs[batch_index]
-            y = targets[batch_index]
-            outputs = _forward_collect(model, x)
-            predicted = outputs[-1]
-            epoch_loss += mse_loss(predicted, y)
-            batches += 1
-            # Backpropagate MSE through the stack.
-            grad = (2.0 / len(x)) * (predicted - y)
-            for position in range(len(model.layers) - 1, -1, -1):
-                layer = model.layers[position]
-                activated = outputs[position + 1]
-                grad = grad * layer.activation.derivative(activated)
-                layer_input = outputs[position]
-                grad_kernel = layer_input.T @ grad
-                grad_bias = grad.sum(axis=0)
-                if position > 0:
-                    grad = grad @ layer.kernel.T
-                vel_k, vel_b = velocity[id(layer)]
-                vel_k *= momentum
-                vel_k -= learning_rate * grad_kernel
-                vel_b *= momentum
-                vel_b -= learning_rate * grad_bias
-                layer.kernel += vel_k
-                layer.bias += vel_b
-        losses.append(epoch_loss / max(batches, 1))
+    for batches in minibatch_epochs(
+        inputs, targets, epochs, batch_size, seed
+    ):
+        batch_losses = [stepper.train_batch(x, y) for x, y in batches]
+        losses.append(sum(batch_losses) / max(len(batch_losses), 1))
     return TrainingReport(epochs=epochs, losses=losses)
 
 

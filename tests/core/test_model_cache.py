@@ -1,6 +1,7 @@
 """Cross-query model build cache: hits, invalidation, correctness."""
 
 import random
+import statistics
 import sys
 import threading
 
@@ -15,6 +16,7 @@ from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 
 ROWS = 600
+COLD_WARM_PAIRS = 7
 
 
 def make_db(parallelism: int = 1):
@@ -63,13 +65,22 @@ class TestWarmQueries:
         db.close()
 
     def test_warm_build_phase_near_zero(self):
+        # One cold/warm pair is a single timing sample and flickers
+        # under load; the median ratio over several pairs does not.
+        # Re-publishing the model gives its table a fresh identity, so
+        # every pair's first query is a genuine cold build.
         db = make_db()
-        publish_model(db, "m", make_model())
-        _, cold_profile = run_query(db)
-        _, warm_profile = run_query(db)
-        cold_build = cold_profile.stopwatch.phases["modeljoin-build"]
-        warm_build = warm_profile.stopwatch.phases["modeljoin-build"]
-        assert warm_build < cold_build / 5
+        ratios = []
+        for _ in range(COLD_WARM_PAIRS):
+            publish_model(db, "m", make_model(), replace=True)
+            _, cold_profile = run_query(db)
+            _, warm_profile = run_query(db)
+            assert cold_profile.counters.get("cache.misses") == 1
+            assert warm_profile.counters.get("cache.hits") == 1
+            cold_build = cold_profile.stopwatch.phases["modeljoin-build"]
+            warm_build = warm_profile.stopwatch.phases["modeljoin-build"]
+            ratios.append(warm_build / cold_build)
+        assert statistics.median(ratios) < 1 / 5
         db.close()
 
     def test_cached_predictions_match_uncached_engine(self):

@@ -18,11 +18,14 @@ from repro.db.storage import (
     ColumnFileReader,
     ColumnFileWriter,
     DiskPartition,
+    DiskTable,
     write_partition,
 )
 from repro.db.storage import codecs
 from repro.db.storage.checkpoint import MANIFEST_NAME, load_manifest
 from repro.db.column import ColumnRange
+from repro.db.operators.base import ExecutionContext
+from repro.db.operators.scan import TableScan
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
 from repro.errors import ExecutionError
@@ -305,7 +308,10 @@ class TestDiskPartition:
             b for b in blocks if b.may_match(schema, ranges)
         ]
         assert len(surviving) == 1
-        batches = list(partition.scan(ranges=ranges))
+        table = DiskTable("t", schema)
+        table.partitions = [partition]
+        scan = TableScan(ExecutionContext(), table, ranges=ranges)
+        batches = list(scan.batches())
         scanned = np.concatenate([b.column("id") for b in batches])
         assert scanned.max() < 4096  # only the first block was read
         partition.close()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from repro.db.column import ColumnRange
+from repro.db.operators.base import ExecutionContext
+from repro.db.operators.scan import TableScan
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import SqlType
@@ -108,7 +110,10 @@ class TestScan:
     def test_scan_with_pruning_skips_blocks(self, schema):
         table = Table("t", schema, block_size=10)
         fill(table, 100)
-        batches = list(table.scan(ranges=[ColumnRange("id", 95, None)]))
+        scan = TableScan(
+            ExecutionContext(), table, ranges=[ColumnRange("id", 95, None)]
+        )
+        batches = list(scan.batches())
         total = sum(len(batch) for batch in batches)
         # Only the last block (ids 90..99) survives pruning.
         assert total == 10
@@ -116,6 +121,9 @@ class TestScan:
     def test_pruning_never_loses_matching_rows(self, schema):
         table = Table("t", schema, block_size=7)
         fill(table, 100)
-        batches = list(table.scan(ranges=[ColumnRange("id", 50, 60)]))
+        scan = TableScan(
+            ExecutionContext(), table, ranges=[ColumnRange("id", 50, 60)]
+        )
+        batches = list(scan.batches())
         ids = np.concatenate([batch.column("id") for batch in batches])
         assert set(range(50, 61)) <= set(ids.tolist())

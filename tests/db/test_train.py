@@ -30,12 +30,16 @@ from repro.db.train import (
 )
 from repro.db.train.executor import _build_model
 from repro.db.train.operator import TrainOperator
+from repro.device.host import HostDevice
 from repro.errors import (
     CatalogError,
     InjectedFaultError,
     SqlSyntaxError,
     TrainingError,
 )
+from repro.nn.layers import Dense
+from repro.nn.model import Sequential
+from repro.nn.training import fit
 
 ROWS = 192
 
@@ -214,6 +218,77 @@ class TestCreateModelTraining:
             )
         with pytest.raises(SqlSyntaxError):
             database.execute("ALTER MODEL m VERSION 2")
+
+
+def stored_weights(
+    database: Database, name: str, version: int = 1
+) -> list[np.ndarray]:
+    """Kernels and biases read back from a version's weight table."""
+    from repro.core.modeljoin.builder import ModelBuilder
+
+    metadata = database.catalog.model_version(name, version).metadata
+    builder = ModelBuilder(
+        input_width=metadata.input_width,
+        layers=list(metadata.layers),
+        parties=1,
+        vector_size=1,
+        replicate_bias=False,
+    )
+    for batch in database.table(metadata.table_name).scan():
+        builder.consume_batch(batch)
+    built = builder.wait_and_finalize(HostDevice())
+    return [
+        array for layer in built.layers for array in (layer.kernel, layer.bias)
+    ]
+
+
+class TestOneTrainer:
+    """``fit`` and ``CREATE MODEL`` are front doors to one trainer."""
+
+    @pytest.mark.parametrize(
+        "seed, batch_size, momentum", [(1, 32, 0.9), (4, 20, 0.5)]
+    )
+    def test_fit_matches_create_model_bit_for_bit(
+        self, seed, batch_size, momentum
+    ):
+        database = make_database()
+        database.execute(
+            "CREATE MODEL par AS TRAIN DENSE(8 relu, 4 tanh, 1 sigmoid) "
+            "ON (SELECT x1, x2, label FROM pts) "
+            f"WITH (epochs=6, batch_size={batch_size}, lr=0.05, "
+            f"momentum={momentum}, seed={seed})"
+        )
+        source = database.execute("SELECT x1, x2, label FROM pts")
+        features = np.column_stack(
+            [source.column("x1"), source.column("x2")]
+        )
+        model = Sequential(
+            [Dense(8, "relu"), Dense(4, "tanh"), Dense(1, "sigmoid")],
+            input_width=2,
+            seed=seed,
+        )
+        report = fit(
+            model,
+            features,
+            source.column("label"),
+            epochs=6,
+            learning_rate=0.05,
+            batch_size=batch_size,
+            momentum=momentum,
+            seed=seed,
+        )
+        record = database.catalog.model_version("par", 1)
+        fitted = [
+            array
+            for layer in model.layers
+            for array in (layer.kernel, layer.bias)
+        ]
+        stored = stored_weights(database, "par")
+        assert len(fitted) == len(stored)
+        for ours, theirs in zip(fitted, stored):
+            np.testing.assert_array_equal(ours, theirs)
+        assert weight_checksum(model) == record.weight_checksum
+        assert report.final_loss == record.final_loss
 
 
 class TestModelLifecycle:
